@@ -27,6 +27,10 @@ class TruncatedPayloadError(PnmError):
     """Raster holds fewer bytes than the header promises."""
 
 
+class SampleRangeError(PnmError):
+    """A raster sample exceeds the declared maxval."""
+
+
 class BoundsError(ValueError):
     """Rectangle does not fit inside the image."""
 
@@ -145,8 +149,12 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def decode_pnm(data: bytes) -> GrayImage | ColorImage:
-    """Decode binary PGM (P5) into GrayImage or binary PPM (P6) into ColorImage."""
-    magic, pos = _next_token(bytes(data), 0)
+    """Decode binary PGM (P5) into GrayImage or binary PPM (P6) into ColorImage.
+
+    Accepts any bytes-like input (bytes, bytearray, memoryview).
+    """
+    data = bytes(data)
+    magic, pos = _next_token(data, 0)
     if magic not in (b"P5", b"P6"):
         raise UnsupportedFormatError(f"unsupported magic {magic!r}; only P5/P6 binary")
     fields = []
@@ -170,6 +178,8 @@ def decode_pnm(data: bytes) -> GrayImage | ColorImage:
     if len(raster) < need:
         raise TruncatedPayloadError(f"raster has {len(raster)} bytes, need {need}")
     arr = np.frombuffer(raster, dtype=np.uint8)
+    if maxval < 255 and int(arr.max()) > maxval:
+        raise SampleRangeError(f"raster sample {int(arr.max())} exceeds maxval {maxval}")
     if channels == 1:
         return GrayImage(arr.reshape(height, width))
     return ColorImage(arr.reshape(height, width, 3))

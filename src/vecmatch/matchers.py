@@ -39,6 +39,10 @@ class PyramidDepthError(ValueError):
     """Requested level count would shrink a dimension below one pixel."""
 
 
+class ScoreOverflowError(ValueError):
+    """The largest possible SSD score for the template shape exceeds int64."""
+
+
 @dataclass(frozen=True)
 class MatchResult:
     row: int
@@ -90,6 +94,47 @@ def _check_fits(s: GrayImage, t: GrayImage) -> None:
         )
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# float64 represents every integer up to 2**53 exactly.
+_FLOAT_EXACT_MAX = 2**53
+# Offsets per matrix product in _window_dots.
+_DOT_BLOCK = 64
+
+
+def _ssd_bound(m: int, n: int) -> int:
+    """Largest SSD, and largest window dot product w.t, that an m x n template
+    can produce: (255*m)**2 * n. Raises ScoreOverflowError past int64."""
+    worst = (255 * m) ** 2 * n
+    if worst > _INT64_MAX:
+        raise ScoreOverflowError(
+            f"template {m}x{n} can score up to {worst}, beyond int64 ({_INT64_MAX})"
+        )
+    return worst
+
+
+def _window_dots(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """int64 map of v . c[i, j : j + len(v)] for every row i and offset j.
+
+    Each block of _DOT_BLOCK offsets is one float64 matrix product against a
+    banded Toeplitz copy of v, band[r, j] = v[r - j]. c and v hold
+    non-negative integers, so every partial sum is an integer no larger than
+    the full dot product: the result is exact while that stays within
+    _FLOAT_EXACT_MAX.
+    """
+    n = v.shape[0]
+    rows, cols = c.shape[0], c.shape[1] - n + 1
+    block = min(_DOT_BLOCK, cols)
+    pad = np.zeros(n + 2 * (block - 1))
+    pad[block - 1 : block - 1 + n] = v
+    band = np.ascontiguousarray(sliding_window_view(pad, block)[: block + n - 1, ::-1])
+    cf = c.astype(np.float64)
+    out = np.empty((rows, cols), dtype=np.int64)
+    for j in range(0, cols, block):
+        b = min(block, cols - j)
+        out[:, j : j + b] = cf[:, j : j + b + n - 1] @ band[: b + n - 1, :b]
+    return out
+
+
 def _argmin_first(scores: np.ndarray) -> tuple[int, int]:
     flat = int(np.argmin(scores))
     return flat // scores.shape[1], flat % scores.shape[1]
@@ -113,21 +158,42 @@ def match_projected(
     start = time.perf_counter_ns()
     _check_fits(s, t)
     m, n = t.height, t.width
+    if metric is not VectorMetric.SAD:
+        worst = _ssd_bound(m, n)
     nt = project_template(t)
     table = build_column_sum_table(s, m)
     # (p-m+1, q) windowed column sums for every row offset at once.
     col2d = table.prefix[m:] - table.prefix[:-m]
     win = sliding_window_view(col2d, n, axis=1)
-    rows_n, cols_n = win.shape[0], win.shape[1]
-    scores = np.empty((rows_n, cols_n), dtype=np.int64)
-    buf = np.empty((cols_n, n), dtype=np.int64)
-    for i in range(rows_n):
-        np.subtract(win[i], nt, out=buf)
-        if metric is VectorMetric.SAD:
+    if metric is VectorMetric.SAD:
+        # |w - t| has no such expansion; one row of offsets per numpy call
+        # measured faster than blocks of rows.
+        rows_n, cols_n = win.shape[0], win.shape[1]
+        scores = np.empty((rows_n, cols_n), dtype=np.int64)
+        buf = np.empty((cols_n, n), dtype=np.int64)
+        for i in range(rows_n):
+            np.subtract(win[i], nt, out=buf)
             np.abs(buf, out=buf)
             scores[i] = buf.sum(axis=1)
+    else:
+        # |w - t|^2 = sum(w^2) - 2 w.t + sum(t^2) at every offset. w.t goes
+        # through float64 matrix products where those are exact, else one
+        # int64 einsum over the sliding view. sum(w^2) is a horizontal prefix
+        # of the squared column sums, built in col2d's own buffer once w.t is
+        # done. int64 arithmetic wraps mod 2**64, so the prefix and the middle
+        # terms may wrap, yet every score is exact: _ssd_bound keeps the true
+        # value in range.
+        if worst <= _FLOAT_EXACT_MAX:
+            scores = _window_dots(col2d, nt)
         else:
-            scores[i] = np.einsum("jk,jk->j", buf, buf)
+            scores = np.einsum("ijk,k->ij", win, nt)
+        scores *= -2
+        scores += nt @ nt
+        cum = col2d
+        np.multiply(cum, cum, out=cum)
+        np.cumsum(cum, axis=1, out=cum)
+        scores += cum[:, n - 1 :]
+        scores[:, 1:] -= cum[:, :-n]
     row, col = _argmin_first(scores)
     if metric is VectorMetric.EUCLIDEAN:
         scores = np.sqrt(scores.astype(np.float64))

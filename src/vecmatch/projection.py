@@ -54,7 +54,9 @@ def build_column_sum_table(s: GrayImage, m: int) -> ColumnSumTable:
     if not 1 <= m <= s.height:
         raise ValueError(f"window height {m} out of range 1..{s.height}")
     prefix = np.zeros((s.height + 1, s.width), dtype=np.int64)
-    np.cumsum(s.pixels, axis=0, dtype=np.int64, out=prefix[1:])
+    # Widen first, then sum in place: cumsum straight from uint8 is ~3x slower.
+    prefix[1:] = s.pixels
+    np.cumsum(prefix[1:], axis=0, out=prefix[1:])
     prefix.setflags(write=False)
     return ColumnSumTable(prefix=prefix, window_height=m)
 

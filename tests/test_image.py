@@ -9,6 +9,7 @@ from vecmatch import (
     GrayImage,
     MalformedHeaderError,
     Rect,
+    SampleRangeError,
     TruncatedPayloadError,
     UnsupportedFormatError,
     UnsupportedMaxvalError,
@@ -65,6 +66,28 @@ class TestDecode:
     def test_empty_input(self):
         with pytest.raises(MalformedHeaderError):
             decode_pnm(b"")
+
+    @pytest.mark.parametrize("wrap", [memoryview, bytearray])
+    def test_bytes_like_input(self, wrap):
+        data = b"P5\n2 1\n255\n" + bytes([255, 16])
+        assert decode_pnm(wrap(data)).pixels.tolist() == [[255, 16]]
+
+    @pytest.mark.parametrize("wrap", [memoryview, bytearray])
+    def test_bytes_like_malformed_header(self, wrap):
+        with pytest.raises(MalformedHeaderError):
+            decode_pnm(wrap(b"P5\nabc 2\n255\n" + bytes(4)))
+
+    def test_sample_above_maxval(self):
+        with pytest.raises(SampleRangeError):
+            decode_pnm(b"P5\n2 1\n15\n\xff\x10")
+
+    def test_color_sample_above_maxval(self):
+        with pytest.raises(SampleRangeError):
+            decode_pnm(b"P6\n1 1\n100\n" + bytes([1, 101, 3]))
+
+    def test_samples_up_to_maxval(self):
+        img = decode_pnm(b"P5\n2 1\n15\n" + bytes([0, 15]))
+        assert img.pixels.tolist() == [[0, 15]]
 
 
 class TestEncode:

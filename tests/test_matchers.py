@@ -8,6 +8,7 @@ from vecmatch import (
     GrayImage,
     PyramidDepthError,
     Rect,
+    ScoreOverflowError,
     TemplateSizeError,
     VectorMetric,
     build_pyramid,
@@ -18,6 +19,9 @@ from vecmatch import (
     match_pyramid,
     score_map_only,
 )
+from vecmatch import matchers
+from vecmatch.matchers import _ssd_bound
+from vecmatch.oracle import naive_projected_map
 from conftest import random_gray, textured_gray
 
 S3 = GrayImage([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -48,6 +52,80 @@ class TestMatchProjected:
         t = GrayImage([[3]])
         result, _ = match_projected(s, t, VectorMetric.SAD)
         assert (result.row, result.col) == (0, 0)
+
+
+def _edge_case(name, rng):
+    """(reference, template) pairs at the indexing edges of the SSD prefix."""
+    if name == "1x1":
+        return random_gray(rng, 9, 11), random_gray(rng, 1, 1)
+    if name == "n=1":
+        return random_gray(rng, 9, 11), random_gray(rng, 5, 1)
+    if name == "m=p":
+        return random_gray(rng, 6, 13), random_gray(rng, 6, 4)
+    if name == "n=q":
+        return random_gray(rng, 13, 6), random_gray(rng, 4, 6)
+    if name == "whole":
+        s = random_gray(rng, 7, 9)
+        return s, s
+    if name == "blocks":
+        # 131 column offsets: two full blocks of w.t products and a partial one
+        return random_gray(rng, 6, 150), random_gray(rng, 3, 20)
+    # all-255 reference, large dark template: the largest scores of the set
+    return GrayImage(np.full((64, 64), 255, dtype=np.uint8)), GrayImage(
+        rng.integers(0, 8, (60, 60), dtype=np.uint8)
+    )
+
+
+class TestProjectedSsdEdges:
+    CASES = ("1x1", "n=1", "m=p", "n=q", "whole", "blocks", "all-255")
+
+    @pytest.fixture(autouse=True, params=["float64", "int64"])
+    def dot_path(self, request, monkeypatch):
+        # w.t runs in float64 only below 2**53; a zero limit forces the int64 path
+        if request.param == "int64":
+            monkeypatch.setattr(matchers, "_FLOAT_EXACT_MAX", 0)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ssd_bit_exact(self, case, rng):
+        s, t = _edge_case(case, rng)
+        result, smap = match_projected(s, t, VectorMetric.SSD)
+        expected = naive_projected_map(s, t, VectorMetric.SSD).scores
+        assert smap.scores.shape == (s.height - t.height + 1, s.width - t.width + 1)
+        assert smap.scores.dtype == np.int64
+        assert np.array_equal(smap.scores, expected)
+        assert result.score == expected.min()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_euclid_matches_oracle(self, case, rng):
+        s, t = _edge_case(case, rng)
+        _, smap = match_projected(s, t, VectorMetric.EUCLIDEAN)
+        expected = naive_projected_map(s, t, VectorMetric.EUCLIDEAN).scores
+        np.testing.assert_allclose(smap.scores, expected, rtol=1e-9, atol=0)
+
+
+class TestSsdRangeGuard:
+    # largest n whose worst-case score (255*m)**2 * n still fits int64, at m = 1
+    N_MAX = (2**63 - 1) // 255**2
+
+    def test_largest_fitting_shape_passes(self):
+        assert _ssd_bound(1, self.N_MAX) == 255**2 * self.N_MAX
+
+    def test_one_column_more_raises(self):
+        with pytest.raises(ScoreOverflowError):
+            _ssd_bound(1, self.N_MAX + 1)
+
+    def test_square_overflow(self):
+        with pytest.raises(ValueError):
+            _ssd_bound(60000, 60000)
+
+    def test_checked_before_scoring(self, monkeypatch):
+        # shrink the limit so a 2x2 template trips it: (255*2)**2 * 2 > 100
+        monkeypatch.setattr(matchers, "_INT64_MAX", 100)
+        for metric in (VectorMetric.SSD, VectorMetric.EUCLIDEAN):
+            with pytest.raises(ScoreOverflowError):
+                match_projected(S3, T2, metric)
+        # SAD scores are bounded by 255*m*n and need no guard
+        assert match_projected(S3, T2, VectorMetric.SAD)[0].score == 0
 
 
 class TestMatchFullSad:
