@@ -31,8 +31,30 @@ class SampleRangeError(PnmError):
     """A raster sample exceeds the declared maxval."""
 
 
+class PixelValueError(ValueError):
+    """A pixel value is not an integer in 0..255: NaN, infinite, fractional
+    or out of range."""
+
+
 class BoundsError(ValueError):
     """Rectangle does not fit inside the image."""
+
+
+def _as_uint8(px: np.ndarray, what: str) -> np.ndarray:
+    """Read-only uint8 copy of px; any value a uint8 cannot hold exactly is a
+    PixelValueError, never a silent cast."""
+    if px.dtype == np.uint8:
+        px = px.copy()
+    else:
+        if not np.isfinite(px).all():
+            raise PixelValueError(f"{what} values must be finite")
+        if px.min() < 0 or px.max() > 255:
+            raise PixelValueError(f"{what} values must be in 0..255")
+        if np.issubdtype(px.dtype, np.inexact) and (px != np.floor(px)).any():
+            raise PixelValueError(f"{what} values must be whole numbers")
+        px = px.astype(np.uint8)
+    px.setflags(write=False)
+    return px
 
 
 class GrayImage:
@@ -46,14 +68,7 @@ class GrayImage:
             raise ValueError(f"expected a 2-D pixel grid, got ndim={px.ndim}")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("image must be at least 1x1")
-        if px.dtype != np.uint8:
-            if px.size and (px.min() < 0 or px.max() > 255):
-                raise ValueError("pixel values must be in 0..255")
-            px = px.astype(np.uint8)
-        else:
-            px = px.copy()
-        px.setflags(write=False)
-        self.pixels = px
+        self.pixels = _as_uint8(px, "pixel")
 
     @property
     def height(self) -> int:
@@ -83,14 +98,7 @@ class ColorImage:
             raise ValueError("expected an (H, W, 3) pixel grid")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("image must be at least 1x1")
-        if px.dtype != np.uint8:
-            if px.size and (px.min() < 0 or px.max() > 255):
-                raise ValueError("channel values must be in 0..255")
-            px = px.astype(np.uint8)
-        else:
-            px = px.copy()
-        px.setflags(write=False)
-        self.pixels = px
+        self.pixels = _as_uint8(px, "channel")
 
     @property
     def height(self) -> int:

@@ -40,7 +40,7 @@ class PyramidDepthError(ValueError):
 
 
 class ScoreOverflowError(ValueError):
-    """The largest possible SSD score for the template shape exceeds int64."""
+    """The largest integer a score needs for the template shape exceeds int64."""
 
 
 @dataclass(frozen=True)
@@ -101,27 +101,40 @@ _FLOAT_EXACT_MAX = 2**53
 _DOT_BLOCK = 64
 
 
-def _ssd_bound(m: int, n: int) -> int:
-    """Largest SSD, and largest window dot product w.t, that an m x n template
-    can produce: (255*m)**2 * n. Raises ScoreOverflowError past int64."""
-    worst = (255 * m) ** 2 * n
+def _fits_int64(worst: int, what: str) -> int:
     if worst > _INT64_MAX:
         raise ScoreOverflowError(
-            f"template {m}x{n} can score up to {worst}, beyond int64 ({_INT64_MAX})"
+            f"{what} can reach {worst}, beyond int64 ({_INT64_MAX})"
         )
     return worst
 
 
-def _window_dots(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _ssd_bound(m: int, n: int) -> int:
+    """Largest SSD, and largest window dot product w.t, that an m x n template
+    can produce: (255*m)**2 * n. Raises ScoreOverflowError past int64."""
+    return _fits_int64((255 * m) ** 2 * n, f"template {m}x{n}")
+
+
+def _moment_bound(k: int, area: int) -> int:
+    """Largest product of integer moments in _ncc_moment_map for a template of
+    `area` pixels at pyramid level k: (255 * 4**k * area)**2. Raises
+    ScoreOverflowError past int64."""
+    return _fits_int64((255 * 4**k * area) ** 2, f"level-{k} template of {area} pixels")
+
+
+def _window_dots(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
     """int64 map of v . c[i, j : j + len(v)] for every row i and offset j.
 
-    Each block of _DOT_BLOCK offsets is one float64 matrix product against a
-    banded Toeplitz copy of v, band[r, j] = v[r - j]. c and v hold
-    non-negative integers, so every partial sum is an integer no larger than
-    the full dot product: the result is exact while that stays within
-    _FLOAT_EXACT_MAX.
+    c holds integers in 0..c_max and v non-negative integers, so every partial
+    sum of a dot product is an integer no larger than c_max * sum(v). While
+    that is within _FLOAT_EXACT_MAX, where float64 is exact, each block of
+    _DOT_BLOCK offsets is one float64 matrix product against a banded Toeplitz
+    copy of v, band[r, j] = v[r - j]. Beyond it, one int64 einsum over the
+    sliding view.
     """
     n = v.shape[0]
+    if c_max * int(v.sum()) > _FLOAT_EXACT_MAX:
+        return np.einsum("ijk,k->ij", sliding_window_view(c, n, axis=1), v, dtype=np.int64)
     rows, cols = c.shape[0], c.shape[1] - n + 1
     block = min(_DOT_BLOCK, cols)
     pad = np.zeros(n + 2 * (block - 1))
@@ -159,7 +172,7 @@ def match_projected(
     _check_fits(s, t)
     m, n = t.height, t.width
     if metric is not VectorMetric.SAD:
-        worst = _ssd_bound(m, n)
+        _ssd_bound(m, n)
     nt = project_template(t)
     table = build_column_sum_table(s, m)
     # (p-m+1, q) windowed column sums for every row offset at once.
@@ -176,17 +189,12 @@ def match_projected(
             np.abs(buf, out=buf)
             scores[i] = buf.sum(axis=1)
     else:
-        # |w - t|^2 = sum(w^2) - 2 w.t + sum(t^2) at every offset. w.t goes
-        # through float64 matrix products where those are exact, else one
-        # int64 einsum over the sliding view. sum(w^2) is a horizontal prefix
-        # of the squared column sums, built in col2d's own buffer once w.t is
-        # done. int64 arithmetic wraps mod 2**64, so the prefix and the middle
-        # terms may wrap, yet every score is exact: _ssd_bound keeps the true
-        # value in range.
-        if worst <= _FLOAT_EXACT_MAX:
-            scores = _window_dots(col2d, nt)
-        else:
-            scores = np.einsum("ijk,k->ij", win, nt)
+        # |w - t|^2 = sum(w^2) - 2 w.t + sum(t^2) at every offset. sum(w^2)
+        # is a horizontal prefix of the squared column sums, built in col2d's
+        # own buffer once w.t is done. int64 arithmetic wraps mod 2**64, so
+        # the prefix and the middle terms may wrap, yet every score is exact:
+        # _ssd_bound keeps the true value in range.
+        scores = _window_dots(col2d, nt, 255 * m)
         scores *= -2
         scores += nt @ nt
         cum = col2d
@@ -207,18 +215,18 @@ def match_projected(
 
 
 def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
-    """Full-search SAD map; row-at-a-time to bound temporary size."""
+    """Full-search SAD map of integer arrays; row-at-a-time to bound
+    temporary size."""
     m, n = t_arr.shape
     rows = s_arr.shape[0] - m + 1
     cols = s_arr.shape[1] - n + 1
-    acc_dtype = np.int64 if np.issubdtype(s_arr.dtype, np.integer) else np.float64
-    out = np.empty((rows, cols), dtype=acc_dtype)
+    out = np.empty((rows, cols), dtype=np.int64)
     sw = sliding_window_view(s_arr, (m, n))
     buf = np.empty((cols, m, n), dtype=s_arr.dtype)
     for i in range(rows):
         np.subtract(sw[i], t_arr, out=buf)
         np.abs(buf, out=buf)
-        out[i] = buf.sum(axis=(1, 2), dtype=acc_dtype)
+        out[i] = buf.sum(axis=(1, 2), dtype=np.int64)
     return out
 
 
@@ -232,20 +240,17 @@ def match_full_sad(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     return MatchResult(row, col, int(scores[row, col]), "sad", elapsed), ScoreMap(scores)
 
 
-def _ncc_map(
-    s_arr: np.ndarray, t_arr: np.ndarray, quantum: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _ncc_map(s_arr: np.ndarray, t_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full-search correlation map with per-window mean/variance recomputed.
 
-    `quantum` is the smallest representable intensity step (1 for 8-bit input,
-    4**-k at pyramid level k); a window is degenerate when its centered energy
-    falls below what a single one-quantum deviation would produce.
+    A window is degenerate when its centered energy falls below what a single
+    one-step deviation from its mean would produce.
     """
     m, n = t_arr.shape
     rows = s_arr.shape[0] - m + 1
     cols = s_arr.shape[1] - n + 1
     area = m * n
-    threshold = 0.4 * quantum * quantum
+    threshold = 0.4
     tc = (t_arr - t_arr.mean()).ravel()
     tnorm2 = float(tc @ tc)
     if tnorm2 <= threshold:
@@ -264,15 +269,70 @@ def _ncc_map(
     return scores, valid
 
 
+def _window_sums(a: np.ndarray, m: int, n: int) -> np.ndarray:
+    """int64 sum of every m x n window of a, from an integral image. The
+    integral image may wrap past int64; each window sum is still exact while
+    its true value fits."""
+    ii = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(a, axis=0, dtype=np.int64), axis=1, out=ii[1:, 1:])
+    return ii[m:, n:] - ii[:-m, n:] - ii[m:, :-n] + ii[:-m, :-n]
+
+
+def _template_energy(t_arr: np.ndarray, k: int) -> int:
+    """A*T2 - St**2 of a level-k template scaled to integers (A pixels, sum St,
+    sum of squares T2): its centered energy times A, exact."""
+    area = t_arr.size
+    _moment_bound(k, area)
+    t64 = t_arr.astype(np.int64)
+    st = int(t64.sum())
+    return area * int(np.einsum("ij,ij->", t64, t64)) - st * st
+
+
+def _ncc_moment_map(
+    s_arr: np.ndarray, t_arr: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation map of _ncc_map for pyramid level k, from exact integer
+    moments (Lewis, "Fast Normalized Cross-Correlation", 1995).
+
+    s_arr and t_arr are level k times 4**k, so integers in 0..255*4**k. Per
+    window, with A template pixels: S1 and S2, the sum and the sum of squares,
+    come from integral images, and WT = w.t from one _window_dots map per
+    template row. Then ncc = (A*WT - S1*St) / sqrt((A*S2 - S1**2) *
+    (A*T2 - St**2)), all int64 up to the final ratio; _moment_bound keeps
+    every product in range. One intensity step of level k is 4**-k, so the
+    validity threshold of _ncc_map at that level, 0.4 * (4**-k)**2 on the
+    centered energy, reads A*S2 - S1**2 > 0.4*A here.
+    """
+    m, n = t_arr.shape
+    area = m * n
+    tvar = _template_energy(t_arr, k)
+    if tvar <= 0.4 * area:
+        raise DegenerateTemplateError("template has zero intensity variance")
+    rows = s_arr.shape[0] - m + 1
+    s1 = _window_sums(s_arr, m, n)
+    s64 = s_arr.astype(np.int64)
+    wvar = _window_sums(s64 * s64, m, n)
+    wvar *= area
+    wvar -= s1 * s1
+    peak = 255 * 4**k
+    wt = _window_dots(s_arr[:rows], t_arr[0], peak)
+    for a in range(1, m):
+        wt += _window_dots(s_arr[a : a + rows], t_arr[a], peak)
+    wt *= area
+    wt -= s1 * int(t_arr.sum(dtype=np.int64))
+    valid = wvar > 0.4 * area
+    scores = np.full(wt.shape, np.nan)
+    scores[valid] = wt[valid] / np.sqrt(wvar[valid] * float(tvar))
+    return scores, valid
+
+
 def match_full_ncc(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     """Conventional full-search normalized cross correlation (maximized)."""
     start = time.perf_counter_ns()
     _check_fits(s, t)
     if int(t.pixels.min()) == int(t.pixels.max()):
         raise DegenerateTemplateError("template has zero intensity variance")
-    scores, valid = _ncc_map(
-        s.pixels.astype(np.float64), t.pixels.astype(np.float64), quantum=1.0
-    )
+    scores, valid = _ncc_map(s.pixels.astype(np.float64), t.pixels.astype(np.float64))
     row, col = _argmax_valid(scores, valid)
     elapsed = time.perf_counter_ns() - start
     return (
@@ -337,6 +397,33 @@ def _local_ncc(
     return float(np.einsum("xy,xy->", wc, tc)) / math.sqrt(wnorm2 * tnorm2)
 
 
+def _scaled(level: np.ndarray, k: int) -> np.ndarray:
+    """Pyramid level k times 4**k: each pixel is a mean of 4**k integers, so
+    this is their exact integer sum."""
+    dtype = np.int32 if 255 * 4**k <= np.iinfo(np.int32).max else np.int64
+    scaled = level * 4**k
+    return np.rint(scaled, out=scaled).astype(dtype)
+
+
+def _coarse_search(
+    s_level: np.ndarray, t_level: np.ndarray, base: str, k: int
+) -> tuple[int, int, float]:
+    """Full search at pyramid level k: best (row, col, score). The integer
+    levels of _scaled multiply every SAD by 4**k, so its best offset is that
+    of the float levels, ties included; they leave NCC unchanged up to
+    rounding."""
+    if base == "sad":
+        coarse = _sad_map(_scaled(s_level, k), _scaled(t_level, k))
+        br, bc = _argmin_first(coarse)
+        return br, bc, float(coarse[br, bc]) / 4**k
+    if k == 0:
+        coarse, valid = _ncc_map(s_level, t_level)
+    else:
+        coarse, valid = _ncc_moment_map(_scaled(s_level, k), _scaled(t_level, k), k)
+    br, bc = _argmax_valid(coarse, valid)
+    return br, bc, float(coarse[br, bc])
+
+
 def match_pyramid(
     s: GrayImage,
     t: GrayImage,
@@ -345,7 +432,11 @@ def match_pyramid(
     radius: int = 2,
 ) -> MatchResult:
     """Coarse-to-fine search: full search at the coarsest level, then refine
-    within a Chebyshev neighborhood of the doubled best position per level."""
+    within a Chebyshev neighborhood of the doubled best position per level.
+
+    With automatic depth (levels=None), NCC starts from the deepest level at
+    which the template still varies; an explicit depth whose coarsest
+    template is flat raises DegenerateTemplateError."""
     start = time.perf_counter_ns()
     _check_fits(s, t)
     if base not in ("sad", "ncc"):
@@ -361,17 +452,16 @@ def match_pyramid(
     t_levels = _pyramid_levels(t.pixels.astype(np.float64), depth)
 
     k = depth - 1
-    quantum = 4.0 ** -k
-    if base == "sad":
-        coarse = _sad_map(s_levels[k], t_levels[k])
-        br, bc = _argmin_first(coarse)
-        best = float(coarse[br, bc])
-    else:
-        coarse, valid = _ncc_map(s_levels[k], t_levels[k], quantum=quantum)
-        br, bc = _argmax_valid(coarse, valid)
-        best = float(coarse[br, bc])
+    if base == "ncc" and levels is None:
+        # 2x2 means can flatten a template, as they turn a checkerboard into
+        # one gray; search from the deepest level where it still varies.
+        while k > 0 and (
+            _template_energy(_scaled(t_levels[k], k), k) <= 0.4 * t_levels[k].size
+        ):
+            k -= 1
+    br, bc, best = _coarse_search(s_levels[k], t_levels[k], base, k)
 
-    for k in range(depth - 2, -1, -1):
+    for k in range(k - 1, -1, -1):
         sk, tk = s_levels[k], t_levels[k]
         max_r = sk.shape[0] - tk.shape[0]
         max_c = sk.shape[1] - tk.shape[1]

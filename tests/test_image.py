@@ -8,6 +8,7 @@ from vecmatch import (
     ColorImage,
     GrayImage,
     MalformedHeaderError,
+    PixelValueError,
     Rect,
     SampleRangeError,
     TruncatedPayloadError,
@@ -110,6 +111,27 @@ class TestEncode:
     def test_ppm_round_trip(self, rng):
         img = ColorImage(rng.integers(0, 256, (3, 5, 3), dtype=np.uint8))
         assert decode_pnm(encode_ppm(img)) == img
+
+
+class TestPixelValues:
+    @pytest.mark.parametrize("bad", [3.7, np.nan, np.inf, -np.inf, -1, 256])
+    def test_rejected(self, bad):
+        with pytest.raises(PixelValueError):
+            GrayImage([[1.0, bad]])
+        with pytest.raises(PixelValueError):
+            ColorImage([[[1.0, 2.0, bad]]])
+
+    def test_whole_floats_accepted(self):
+        img = GrayImage([[3.0, 255.0], [0.0, 7.0]])
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.tolist() == [[3, 255], [0, 7]]
+
+    def test_uint8_input_copied(self):
+        arr = np.array([[1, 2]], dtype=np.uint8)
+        img = GrayImage(arr)
+        arr[0, 0] = 9
+        assert img.pixels.tolist() == [[1, 2]]
+        assert not img.pixels.flags.writeable
 
 
 class TestToGray:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from vecmatch import (
     DegenerateTemplateError,
@@ -20,7 +23,7 @@ from vecmatch import (
     score_map_only,
 )
 from vecmatch import matchers
-from vecmatch.matchers import _ssd_bound
+from vecmatch.matchers import _moment_bound, _ssd_bound
 from vecmatch.oracle import naive_projected_map
 from conftest import random_gray, textured_gray
 
@@ -252,6 +255,154 @@ class TestMatchPyramid:
     def test_unknown_base(self):
         with pytest.raises(ValueError):
             match_pyramid(S3, T2, base="ssd")
+
+
+def _scaled_level(img, k):
+    """Level k of img's mean pyramid, and that level as _scaled integers."""
+    level = matchers._pyramid_levels(img.pixels.astype(np.float64), k + 1)[k]
+    return level, matchers._scaled(level, k)
+
+
+def _float_coarse_search(s_level, t_level, base, k):
+    """The coarse search on the float levels themselves."""
+    if base == "sad":
+        coarse = np.abs(sliding_window_view(s_level, t_level.shape) - t_level).sum(axis=(2, 3))
+        br, bc = matchers._argmin_first(coarse)
+        return br, bc, float(coarse[br, bc])
+    # Scaling by 4**k is exact and leaves NCC unchanged; it puts _ncc_map's
+    # validity threshold of 0.4 at one intensity step of level k.
+    coarse, valid = matchers._ncc_map(s_level * 4.0**k, t_level * 4.0**k)
+    br, bc = matchers._argmax_valid(coarse, valid)
+    return br, bc, float(coarse[br, bc])
+
+
+def _with_flat_patch(img):
+    arr = img.pixels.copy()
+    arr[8:72, 8:56] = 77  # 8x6 pixels at level 3: room for flat windows
+    return GrayImage(arr)
+
+
+class TestIntegerCoarseSearch:
+    @pytest.fixture(params=["float64", "int64"])
+    def dot_path(self, request, monkeypatch):
+        if request.param == "int64":
+            monkeypatch.setattr(matchers, "_FLOAT_EXACT_MAX", 0)
+
+    @pytest.mark.parametrize("make", [textured_gray, random_gray])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_moment_map_matches_ncc_map(self, make, k, rng, dot_path):
+        s = _with_flat_patch(make(rng, 96, 80))
+        t = crop(s, Rect(50, 36, 40, 32))
+        s_level, s_int = _scaled_level(s, k)
+        _, t_int = _scaled_level(t, k)
+        scores, valid = matchers._ncc_moment_map(s_int, t_int, k)
+        expected, expected_valid = matchers._ncc_map(
+            s_int.astype(np.float64), t_int.astype(np.float64)
+        )
+        assert scores.shape == (s_level.shape[0] - t_int.shape[0] + 1,
+                                s_level.shape[1] - t_int.shape[1] + 1)
+        assert np.array_equal(valid, expected_valid)
+        assert valid.any() and not valid.all()
+        assert np.isnan(scores[~valid]).all()
+        np.testing.assert_allclose(scores[valid], expected[valid], rtol=1e-9, atol=0)
+
+    def test_flat_template_rejected(self):
+        t = np.tile(np.array([[0, 255], [255, 0]]), (4, 4))  # 2x2 means: all 127.5
+        _, t_int = _scaled_level(GrayImage(t), 1)
+        with pytest.raises(DegenerateTemplateError):
+            matchers._ncc_moment_map(t_int, t_int, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_integer_sad_map_is_scaled_float_map(self, k, rng):
+        s_level, s_int = _scaled_level(textured_gray(rng, 96, 80), k)
+        t_level, t_int = _scaled_level(random_gray(rng, 40, 24), k)
+        assert s_int.dtype == t_int.dtype == np.int32
+        float_map = np.abs(sliding_window_view(s_level, t_level.shape) - t_level).sum(axis=(2, 3))
+        assert np.array_equal(matchers._sad_map(s_int, t_int), float_map * 4**k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pyramid_equals_float_coarse_search(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        s = textured_gray(rng, 112, 104)
+        cases = []
+        for depth in (2, 3, 4):
+            for _ in range(3):
+                m = int(rng.integers(2 ** depth, 49))
+                n = int(rng.integers(2 ** depth, 49))
+                top = int(rng.integers(0, s.height - m + 1))
+                left = int(rng.integers(0, s.width - n + 1))
+                noisy = crop(s, Rect(top, left, m, n)).pixels + rng.normal(0, 20, (m, n))
+                t = GrayImage(np.clip(np.rint(noisy), 0, 255))
+                cases.append((t, depth))
+            cases.append((random_gray(rng, m, n), depth))
+
+        def run_all():
+            return [
+                (r.row, r.col, r.score)
+                for t, depth in cases
+                for r in (match_pyramid(s, t, base, levels=depth) for base in ("sad", "ncc"))
+            ]
+
+        got = run_all()
+        monkeypatch.setattr(matchers, "_coarse_search", _float_coarse_search)
+        assert got == run_all()
+
+    def _coarse_levels(self, monkeypatch):
+        seen = []
+
+        def spy(s_level, t_level, base, k):
+            seen.append(k)
+            return coarse_search(s_level, t_level, base, k)
+
+        coarse_search = matchers._coarse_search
+        monkeypatch.setattr(matchers, "_coarse_search", spy)
+        return seen
+
+    @pytest.mark.parametrize("period, level", [(1, 0), (2, 1)])
+    def test_flat_coarse_template_falls_back(self, period, level, rng, monkeypatch):
+        # a checkerboard of period-sized squares is flat from level
+        # log2(period) + 1 on, so automatic depth searches at `level`
+        arr = rng.integers(0, 256, (128, 128), dtype=np.uint8)
+        cells = np.indices((64, 64)) // period
+        arr[30:94, 40:104] = np.where(cells.sum(axis=0) % 2, 255, 0)
+        s = GrayImage(arr)
+        t = crop(s, Rect(30, 40, 64, 64))
+        seen = self._coarse_levels(monkeypatch)
+        result = match_pyramid(s, t, base="ncc")
+        assert seen == [level]
+        assert (result.row, result.col) == (30, 40)
+        assert result.score == pytest.approx(1.0, abs=1e-9)
+        full, _ = match_full_ncc(s, t)
+        assert (full.row, full.col) == (30, 40)
+        with pytest.raises(DegenerateTemplateError):
+            match_pyramid(s, t, base="ncc", levels=level + 2)
+
+
+class TestMomentRangeGuard:
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_exact_boundary(self, k):
+        # largest area whose (255 * 4**k * area)**2 still fits int64
+        area = math.isqrt(2**63 - 1) // (255 * 4**k)
+        assert _moment_bound(k, area) == (255 * 4**k * area) ** 2
+        with pytest.raises(ScoreOverflowError):
+            _moment_bound(k, area + 1)
+
+    def test_checked_before_scoring(self, rng, monkeypatch):
+        s = textured_gray(rng, 64, 64)
+        t = crop(s, Rect(8, 8, 32, 32))
+        # a level-k pixel sums 4**k pixels: the bound is (255 * 32 * 32)**2
+        # at every level of this template
+        worst = (255 * 32 * 32) ** 2
+        monkeypatch.setattr(matchers, "_INT64_MAX", worst)
+        for levels in (None, 2):
+            assert match_pyramid(s, t, base="ncc", levels=levels).score == pytest.approx(1.0)
+        monkeypatch.setattr(matchers, "_INT64_MAX", worst - 1)
+        for levels in (None, 2):
+            with pytest.raises(ScoreOverflowError):
+                match_pyramid(s, t, base="ncc", levels=levels)
+        # level 0 keeps the float NCC map, and SAD needs no guard
+        assert match_pyramid(s, t, base="ncc", levels=1).score == pytest.approx(1.0)
+        assert match_pyramid(s, t, base="sad", levels=2).score == 0
 
 
 class TestScoreMapOnly:
