@@ -99,6 +99,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _FLOAT_EXACT_MAX = 2**53
 # Offsets per matrix product in _window_dots.
 _DOT_BLOCK = 64
+_INT32_MAX = int(np.iinfo(np.int32).max)
+# Offsets per row tile of _sad_map.
+_SAD_TILE = 1 << 16
 
 
 def _fits_int64(worst: int, what: str) -> int:
@@ -177,17 +180,9 @@ def match_projected(
     table = build_column_sum_table(s, m)
     # (p-m+1, q) windowed column sums for every row offset at once.
     col2d = table.prefix[m:] - table.prefix[:-m]
-    win = sliding_window_view(col2d, n, axis=1)
     if metric is VectorMetric.SAD:
-        # |w - t| has no such expansion; one row of offsets per numpy call
-        # measured faster than blocks of rows.
-        rows_n, cols_n = win.shape[0], win.shape[1]
-        scores = np.empty((rows_n, cols_n), dtype=np.int64)
-        buf = np.empty((cols_n, n), dtype=np.int64)
-        for i in range(rows_n):
-            np.subtract(win[i], nt, out=buf)
-            np.abs(buf, out=buf)
-            scores[i] = buf.sum(axis=1)
+        # A 1 x n template over the column-sum image.
+        scores = _sad_map(col2d, nt[None, :])
     else:
         # |w - t|^2 = sum(w^2) - 2 w.t + sum(t^2) at every offset. sum(w^2)
         # is a horizontal prefix of the squared column sums, built in col2d's
@@ -214,19 +209,42 @@ def match_projected(
     return MatchResult(row, col, best, name, elapsed), ScoreMap(scores)
 
 
+def _sad_dtype(m: int, n: int, peak: int) -> type:
+    """Accumulator of an m x n SAD map over values in 0..peak: int32 while the
+    largest score, peak * m * n, fits, int64 beyond."""
+    return np.int32 if peak * m * n <= _INT32_MAX else np.int64
+
+
 def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
-    """Full-search SAD map of integer arrays; row-at-a-time to bound
-    temporary size."""
+    """int64 full-search SAD map of non-negative integer arrays.
+
+    Shift and accumulate: for each template cell (a, b), add
+    |s[a : a + rows, b : b + cols] - t[a, b]| into the map, one row tile of
+    about _SAD_TILE offsets at a time so the accumulator and its scratch
+    stay in cache. No |s - t| exceeds the larger of the two maxima, which
+    with the shape picks the accumulator width (_sad_dtype).
+    """
     m, n = t_arr.shape
     rows = s_arr.shape[0] - m + 1
     cols = s_arr.shape[1] - n + 1
+    dtype = _sad_dtype(m, n, int(max(s_arr.max(), t_arr.max())))
+    s_acc = s_arr.astype(dtype, copy=False)
+    t_rows = t_arr.tolist()
     out = np.empty((rows, cols), dtype=np.int64)
-    sw = sliding_window_view(s_arr, (m, n))
-    buf = np.empty((cols, m, n), dtype=s_arr.dtype)
-    for i in range(rows):
-        np.subtract(sw[i], t_arr, out=buf)
-        np.abs(buf, out=buf)
-        out[i] = buf.sum(axis=(1, 2), dtype=np.int64)
+    tile = min(rows, max(1, _SAD_TILE // cols))
+    acc = np.empty((tile, cols), dtype=dtype)
+    buf = np.empty_like(acc)
+    for r0 in range(0, rows, tile):
+        h = min(tile, rows - r0)
+        acc_h, buf_h = acc[:h], buf[:h]
+        acc_h.fill(0)
+        for a, t_row in enumerate(t_rows):
+            band = s_acc[r0 + a : r0 + a + h]
+            for b, v in enumerate(t_row):
+                np.subtract(band[:, b : b + cols], v, out=buf_h)
+                np.abs(buf_h, out=buf_h)
+                acc_h += buf_h
+        out[r0 : r0 + h] = acc_h
     return out
 
 
@@ -234,7 +252,7 @@ def match_full_sad(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     """Conventional full-search sum of absolute differences."""
     start = time.perf_counter_ns()
     _check_fits(s, t)
-    scores = _sad_map(s.pixels.astype(np.int16), t.pixels.astype(np.int16))
+    scores = _sad_map(s.pixels, t.pixels)
     row, col = _argmin_first(scores)
     elapsed = time.perf_counter_ns() - start
     return MatchResult(row, col, int(scores[row, col]), "sad", elapsed), ScoreMap(scores)
@@ -494,15 +512,20 @@ def match_pyramid(
     return MatchResult(br, bc, best, name, elapsed)
 
 
+def match_dense(name: str, s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
+    """Result and score map of a dense (full-search) algorithm, from one pass."""
+    if name in _VEC_METRIC:
+        return match_projected(s, t, _VEC_METRIC[name])
+    if name == "sad":
+        return match_full_sad(s, t)
+    if name == "ncc":
+        return match_full_ncc(s, t)
+    raise ValueError(f"no dense score map for algorithm {name!r}")
+
+
 def score_map_only(s: GrayImage, t: GrayImage, algorithm: str) -> ScoreMap:
     """Score map for inspection, without the argmin/argmax decision."""
-    if algorithm in _VEC_METRIC:
-        return match_projected(s, t, _VEC_METRIC[algorithm])[1]
-    if algorithm == "sad":
-        return match_full_sad(s, t)[1]
-    if algorithm == "ncc":
-        return match_full_ncc(s, t)[1]
-    raise ValueError(f"no dense score map for algorithm {algorithm!r}")
+    return match_dense(algorithm, s, t)[1]
 
 
 def run_algorithm(
@@ -513,14 +536,10 @@ def run_algorithm(
     radius: int = 2,
 ) -> MatchResult:
     """Dispatch one of the seven named algorithms."""
-    if name in _VEC_METRIC:
-        return match_projected(s, t, _VEC_METRIC[name])[0]
-    if name == "sad":
-        return match_full_sad(s, t)[0]
-    if name == "ncc":
-        return match_full_ncc(s, t)[0]
     if name == "sadp":
         return match_pyramid(s, t, base="sad", levels=levels, radius=radius)
     if name == "nccp":
         return match_pyramid(s, t, base="ncc", levels=levels, radius=radius)
-    raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    return match_dense(name, s, t)[0]

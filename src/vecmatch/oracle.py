@@ -12,15 +12,12 @@ import math
 import numpy as np
 
 from .image import GrayImage
-from .matchers import DegenerateTemplateError, ScoreMap, TemplateSizeError
+from .matchers import DegenerateTemplateError, ScoreMap, _check_fits
 from .projection import VectorMetric
 
 
 def _offsets(s: GrayImage, t: GrayImage) -> tuple[int, int]:
-    if t.height > s.height or t.width > s.width:
-        raise TemplateSizeError(
-            f"template {t.height}x{t.width} exceeds reference {s.height}x{s.width}"
-        )
+    _check_fits(s, t)
     return s.height - t.height + 1, s.width - t.width + 1
 
 

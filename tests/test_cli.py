@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from vecmatch import GrayImage, Rect, crop, decode_pnm, encode_pgm
+from vecmatch import GrayImage, Rect, crop, decode_pnm, encode_pgm, score_map_only
+from vecmatch import matchers
 from vecmatch.cli import main
 from conftest import random_gray
 
@@ -73,6 +74,34 @@ class TestMatch:
         assert len(grid) == 64 - 16 + 1
         assert len(grid[0]) == 80 - 16 + 1
         assert float(grid[10][20]) == 0.0
+
+    @pytest.mark.parametrize("algo", ["vec-ssd", "vec-sad", "vec-euclid", "sad", "ncc"])
+    def test_map_runs_matcher_once(self, images, tmp_path, capsys, monkeypatch, algo):
+        ref, tpl = images
+        s, t = decode_pnm(ref.read_bytes()), decode_pnm(tpl.read_bytes())
+        expected_csv = "".join(
+            ",".join(repr(v) for v in row) + "\n"
+            for row in np.asarray(score_map_only(s, t, algo).scores, dtype=np.float64).tolist()
+        )
+        calls = []
+        for name in ("match_projected", "match_full_sad", "match_full_ncc"):
+            original = getattr(matchers, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(matchers, name, counted)
+        out = tmp_path / "map.csv"
+        assert main(["match", "--reference", str(ref), "--template", str(tpl),
+                     "--algo", algo, "--map", str(out)]) == 0
+        assert len(calls) == 1
+        plain = main(["match", "--reference", str(ref), "--template", str(tpl),
+                      "--algo", algo])
+        assert plain == 0 and len(calls) == 2
+        with_map, without = capsys.readouterr().out.splitlines()
+        assert with_map.split()[:3] == without.split()[:3]
+        assert out.read_text() == expected_csv
 
     def test_pyramid_flag_warning(self, images, capsys):
         ref, tpl = images

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vecmatch import (
@@ -9,6 +9,7 @@ from vecmatch import (
     GrayImage,
     MalformedHeaderError,
     PixelValueError,
+    PnmError,
     Rect,
     SampleRangeError,
     TruncatedPayloadError,
@@ -28,7 +29,41 @@ gray_arrays = hnp.arrays(
 )
 
 
+_header_token = st.one_of(
+    st.integers(1, 4).map(lambda v: str(v).encode()),
+    st.integers(0, 300).map(lambda v: str(v).encode()),
+    st.sampled_from([b"-1", b"0x10", b"1e3", b"255", b"\xff"]),
+    st.binary(max_size=3),
+)
+# Byte strings that start like a PNM header, so that decoding gets past the
+# magic number and the header fields far more often than random bytes do.
+pnm_like = st.tuples(
+    st.sampled_from([b"P5", b"P6", b"P4", b""]),
+    st.lists(st.tuples(st.sampled_from([b" ", b"\n", b"#x\n"]), _header_token),
+             min_size=2, max_size=4),
+    st.sampled_from([b"\n", b" ", b"", b"#"]),
+    st.binary(max_size=64),
+).map(lambda p: p[0] + b"".join(sep + tok for sep, tok in p[1]) + p[2] + p[3])
+
+
 class TestDecode:
+    @staticmethod
+    def _image_or_pnm_error(data):
+        try:
+            img = decode_pnm(data)
+        except PnmError:
+            return
+        assert isinstance(img, (GrayImage, ColorImage))
+
+    @given(st.binary(max_size=64))
+    def test_any_bytes_decode_or_raise_pnm_error(self, data):
+        self._image_or_pnm_error(data)
+
+    @settings(max_examples=300)
+    @given(pnm_like)
+    def test_header_like_bytes_decode_or_raise_pnm_error(self, data):
+        self._image_or_pnm_error(data)
+
     def test_p5_2x2(self):
         img = decode_pnm(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
         assert isinstance(img, GrayImage)

@@ -24,7 +24,7 @@ from vecmatch import (
 )
 from vecmatch import matchers
 from vecmatch.matchers import _moment_bound, _ssd_bound
-from vecmatch.oracle import naive_projected_map
+from vecmatch.oracle import naive_projected_map, naive_sad_map
 from conftest import random_gray, textured_gray
 
 S3 = GrayImage([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -83,10 +83,12 @@ class TestProjectedSsdEdges:
     CASES = ("1x1", "n=1", "m=p", "n=q", "whole", "blocks", "all-255")
 
     @pytest.fixture(autouse=True, params=["float64", "int64"])
-    def dot_path(self, request, monkeypatch):
-        # w.t runs in float64 only below 2**53; a zero limit forces the int64 path
+    def int_path(self, request, monkeypatch):
+        # w.t runs in float64 only below 2**53 and SAD accumulates in int32
+        # only below 2**31; zero limits force the int64 path of both
         if request.param == "int64":
             monkeypatch.setattr(matchers, "_FLOAT_EXACT_MAX", 0)
+            monkeypatch.setattr(matchers, "_INT32_MAX", 0)
 
     @pytest.mark.parametrize("case", CASES)
     def test_ssd_bit_exact(self, case, rng):
@@ -104,6 +106,53 @@ class TestProjectedSsdEdges:
         _, smap = match_projected(s, t, VectorMetric.EUCLIDEAN)
         expected = naive_projected_map(s, t, VectorMetric.EUCLIDEAN).scores
         np.testing.assert_allclose(smap.scores, expected, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("int_path", ["int32", "int64"], indirect=True)
+    @pytest.mark.parametrize("algo", ["vec-sad", "sad"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_sad_bit_exact(self, case, algo, rng):
+        s, t = _edge_case(case, rng)
+        self._check_sad(algo, s, t)
+
+    @pytest.mark.parametrize("int_path", ["int32", "int64"], indirect=True)
+    @pytest.mark.parametrize("algo", ["vec-sad", "sad"])
+    @pytest.mark.parametrize("tile", [1, 50])
+    def test_sad_spans_row_tiles(self, tile, algo, rng, monkeypatch):
+        # 15 column offsets: one row per tile, or 3 rows with a partial last tile
+        monkeypatch.setattr(matchers, "_SAD_TILE", tile)
+        self._check_sad(algo, random_gray(rng, 23, 17), random_gray(rng, 4, 3))
+
+    @staticmethod
+    def _check_sad(algo, s, t):
+        if algo == "sad":
+            result, smap = match_full_sad(s, t)
+            expected = naive_sad_map(s, t).scores
+        else:
+            result, smap = match_projected(s, t, VectorMetric.SAD)
+            expected = naive_projected_map(s, t, VectorMetric.SAD).scores
+        assert smap.scores.dtype == np.int64
+        assert np.array_equal(smap.scores, expected)
+        assert result.score == expected.min()
+
+
+def test_sad_accumulator_width_at_int32_boundary():
+    assert matchers._sad_dtype(1, 1, 2**31 - 1) is np.int32
+    assert matchers._sad_dtype(1, 1, 2**31) is np.int64
+    n_max = (2**31 - 1) // 255
+    assert matchers._sad_dtype(1, n_max, 255) is np.int32
+    assert matchers._sad_dtype(1, n_max + 1, 255) is np.int64
+    # a whole 512 x 512 reference as template still accumulates in int32
+    assert matchers._sad_dtype(512, 512, 255) is np.int32
+
+
+def test_sad_map_scores_at_and_past_int32():
+    top = 2**31 - 1
+    one = matchers._sad_map(np.array([[top, 0]]), np.array([[0]]))
+    assert one.dtype == np.int64 and one.tolist() == [[top, 0]]
+    # every cell fits int32, their sum over a 1 x 3 template does not
+    s = np.array([[2**30, 2**30, 2**30, 0, 2**30]])
+    wide = matchers._sad_map(s, np.zeros((1, 3), dtype=np.int64))
+    assert wide.tolist() == [[3 * 2**30, 2 * 2**30, 2**31]]
 
 
 class TestSsdRangeGuard:

@@ -5,6 +5,7 @@ from vecmatch import (
     DegenerateTemplateError,
     GrayImage,
     Rect,
+    TemplateSizeError,
     VectorMetric,
     crop,
     match_full_ncc,
@@ -32,6 +33,14 @@ def test_projected_map_trivial_1x1():
 def test_sad_map_hand_verified():
     # 16 = |1-5| + |2-6| + |4-8| + |5-9|
     assert naive_sad_map(S3, T2).scores.tolist() == [[16, 12], [4, 0]]
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda s, t: naive_projected_map(s, t, VectorMetric.SAD), naive_sad_map, naive_ncc_map,
+], ids=["projected", "sad", "ncc"])
+def test_template_too_large(oracle):
+    with pytest.raises(TemplateSizeError, match="exceeds reference"):
+        oracle(T2, S3)
 
 
 def test_ncc_self_correlation(rng):
