@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .image import ColorImage, GrayImage, Rect, crop, decode_pnm, to_gray
-from .matchers import ALGORITHMS, run_algorithm
+from .matchers import ALGORITHMS, algorithm_entry, run_algorithm
 
 DEFAULT_SIZES = (25, 50, 100, 150, 200)
 
@@ -61,9 +61,6 @@ class BenchPlan:
     algorithms: Sequence[str] = ALGORITHMS
     repetitions: int = 3
     color_mode: str = "luma"
-    reference_id: str | None = None
-    pyramid_levels: int | None = None
-    pyramid_radius: int = 2
 
 
 def load_reference(plan: BenchPlan) -> GrayImage:
@@ -101,20 +98,16 @@ def run_plan(plan: BenchPlan) -> list[BenchRecord]:
     if plan.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     for name in plan.algorithms:
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+        algorithm_entry(name)
     image = load_reference(plan)
-    ref_id = plan.reference_id or Path(plan.reference).stem
+    ref_id = Path(plan.reference).stem
     records = []
     for h, w, top, left in _resolve(plan, image):
         template = crop(image, Rect(top=top, left=left, height=h, width=w))
         for name in plan.algorithms:
             timings = []
             for _ in range(plan.repetitions):
-                result = run_algorithm(
-                    name, image, template,
-                    levels=plan.pyramid_levels, radius=plan.pyramid_radius,
-                )
+                result = run_algorithm(name, image, template)
                 timings.append(result.elapsed_ns)
             records.append(
                 BenchRecord(

@@ -20,12 +20,10 @@ from .image import (
     encode_pgm,
     to_gray,
 )
+from .matchers import ALGORITHMS, algorithm_entry, match_dense, run_algorithm
 # score_map_only is unused here but stays importable from this module: the
 # benchmark in perfbench/ traces the CLI by wrapping these names.
-from .matchers import ALGORITHMS, match_dense, run_algorithm, score_map_only  # noqa: F401
-
-_EXACT_SCORE_ALGOS = {"sad", "sadp", "vec-ssd", "vec-sad"}
-_PYRAMID_ALGOS = {"sadp", "nccp"}
+from .matchers import score_map_only  # noqa: F401
 
 
 def _load_gray(path: str, color_mode: str) -> GrayImage:
@@ -48,7 +46,8 @@ def _parse_positions(text: str):
 def _cmd_match(args) -> int:
     s = _load_gray(args.reference, args.color_mode)
     t = _load_gray(args.template, args.color_mode)
-    if args.algo not in _PYRAMID_ALGOS and (args.levels is not None or args.radius != 2):
+    matcher, exact = algorithm_entry(args.algo)
+    if not isinstance(matcher, str) and (args.levels is not None or args.radius != 2):
         print(
             f"warning: pyramid flags ignored for algorithm {args.algo}",
             file=sys.stderr,
@@ -60,10 +59,7 @@ def _cmd_match(args) -> int:
                 f.write(",".join(repr(v) for v in row.tolist()) + "\n")
     else:
         result = run_algorithm(args.algo, s, t, levels=args.levels, radius=args.radius)
-    if args.algo in _EXACT_SCORE_ALGOS:
-        score = str(int(round(result.score)))
-    else:
-        score = f"{result.score:.6f}"
+    score = str(int(round(result.score))) if exact else f"{result.score:.6f}"
     print(f"{result.row} {result.col} {score} {result.elapsed_ms:.3f}")
     return 0
 

@@ -57,64 +57,56 @@ def _as_uint8(px: np.ndarray, what: str) -> np.ndarray:
     return px
 
 
-class GrayImage:
-    """Rectangular grid of 8-bit intensities, row-major, top row first."""
+class _Image:
+    """Shape and equality shared by GrayImage and ColorImage: a non-empty,
+    read-only uint8 pixel array whose first two axes are height and width."""
 
     __slots__ = ("pixels",)
+
+    def __init__(self, px: np.ndarray, what: str) -> None:
+        if px.shape[0] < 1 or px.shape[1] < 1:
+            raise ValueError("image must be at least 1x1")
+        self.pixels = _as_uint8(px, what)
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return np.array_equal(self.pixels, other.pixels)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.height}x{self.width})"
+
+
+class GrayImage(_Image):
+    """Rectangular grid of 8-bit intensities, row-major, top row first."""
+
+    __slots__ = ()
 
     def __init__(self, pixels) -> None:
         px = np.asarray(pixels)
         if px.ndim != 2:
             raise ValueError(f"expected a 2-D pixel grid, got ndim={px.ndim}")
-        if px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError("image must be at least 1x1")
-        self.pixels = _as_uint8(px, "pixel")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrayImage):
-            return NotImplemented
-        return np.array_equal(self.pixels, other.pixels)
-
-    def __repr__(self) -> str:
-        return f"GrayImage({self.height}x{self.width})"
+        super().__init__(px, "pixel")
 
 
-class ColorImage:
+class ColorImage(_Image):
     """Rectangular grid of (R, G, B) triples, each channel 0..255."""
 
-    __slots__ = ("pixels",)
+    __slots__ = ()
 
     def __init__(self, pixels) -> None:
         px = np.asarray(pixels)
         if px.ndim != 3 or px.shape[2] != 3:
             raise ValueError("expected an (H, W, 3) pixel grid")
-        if px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError("image must be at least 1x1")
-        self.pixels = _as_uint8(px, "channel")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ColorImage):
-            return NotImplemented
-        return np.array_equal(self.pixels, other.pixels)
-
-    def __repr__(self) -> str:
-        return f"ColorImage({self.height}x{self.width})"
+        super().__init__(px, "channel")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,13 +79,27 @@ class ScoreMap:
         return self.scores.shape[1]
 
 
-ALGORITHMS = ("ncc", "sad", "nccp", "sadp", "vec-ssd", "vec-sad", "vec-euclid")
-
-_VEC_METRIC = {
-    "vec-ssd": VectorMetric.SSD,
-    "vec-sad": VectorMetric.SAD,
-    "vec-euclid": VectorMetric.EUCLIDEAN,
+# Per algorithm: its dense matcher, (s, t) -> (MatchResult, ScoreMap), or the
+# base metric of its pyramid search; and whether its score is an exact
+# integer. The lambdas look a matcher up in this module when called, so
+# replacing a module attribute (as tests and tracers do) reaches every caller.
+_TABLE = {
+    "ncc": (lambda s, t: match_full_ncc(s, t), False),
+    "sad": (lambda s, t: match_full_sad(s, t), True),
+    "nccp": ("ncc", False),
+    "sadp": ("sad", True),
+    "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD), True),
+    "vec-sad": (lambda s, t: match_projected(s, t, VectorMetric.SAD), True),
+    "vec-euclid": (lambda s, t: match_projected(s, t, VectorMetric.EUCLIDEAN), False),
 }
+ALGORITHMS = tuple(_TABLE)
+
+
+def algorithm_entry(name: str) -> tuple[Callable | str, bool]:
+    """(dense matcher or pyramid base, exact integer score) of an algorithm."""
+    if name not in _TABLE:
+        raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    return _TABLE[name]
 
 
 def _check_fits(s: GrayImage, t: GrayImage) -> None:
@@ -177,9 +192,9 @@ def match_projected(
     if metric is not VectorMetric.SAD:
         _ssd_bound(m, n)
     nt = project_template(t)
-    table = build_column_sum_table(s, m)
+    prefix = build_column_sum_table(s)
     # (p-m+1, q) windowed column sums for every row offset at once.
-    col2d = table.prefix[m:] - table.prefix[:-m]
+    col2d = prefix[m:] - prefix[:-m]
     if metric is VectorMetric.SAD:
         # A 1 x n template over the column-sum image.
         scores = _sad_map(col2d, nt[None, :])
@@ -359,13 +374,6 @@ def match_full_ncc(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     )
 
 
-@dataclass(frozen=True)
-class ImagePyramid:
-    """Sequence of 2x mean-downsampled real-valued levels; level 0 is the original."""
-
-    levels: list[np.ndarray]
-
-
 def _halve(arr: np.ndarray) -> np.ndarray:
     h2, w2 = arr.shape[0] // 2, arr.shape[1] // 2
     if h2 < 1 or w2 < 1:
@@ -381,13 +389,6 @@ def _pyramid_levels(arr: np.ndarray, count: int) -> list[np.ndarray]:
     for _ in range(count - 1):
         levels.append(_halve(levels[-1]))
     return levels
-
-
-def build_pyramid(img: GrayImage, levels: int) -> ImagePyramid:
-    """Mean pyramid: each level-k pixel is the exact mean of its four parents."""
-    if levels < 1:
-        raise PyramidDepthError("level count must be at least 1")
-    return ImagePyramid(_pyramid_levels(img.pixels.astype(np.float64), levels))
 
 
 def auto_pyramid_levels(t: GrayImage) -> int:
@@ -418,7 +419,7 @@ def _local_ncc(
 def _scaled(level: np.ndarray, k: int) -> np.ndarray:
     """Pyramid level k times 4**k: each pixel is a mean of 4**k integers, so
     this is their exact integer sum."""
-    dtype = np.int32 if 255 * 4**k <= np.iinfo(np.int32).max else np.int64
+    dtype = np.int32 if 255 * 4**k <= _INT32_MAX else np.int64
     scaled = level * 4**k
     return np.rint(scaled, out=scaled).astype(dtype)
 
@@ -514,13 +515,10 @@ def match_pyramid(
 
 def match_dense(name: str, s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     """Result and score map of a dense (full-search) algorithm, from one pass."""
-    if name in _VEC_METRIC:
-        return match_projected(s, t, _VEC_METRIC[name])
-    if name == "sad":
-        return match_full_sad(s, t)
-    if name == "ncc":
-        return match_full_ncc(s, t)
-    raise ValueError(f"no dense score map for algorithm {name!r}")
+    matcher = algorithm_entry(name)[0]
+    if isinstance(matcher, str):
+        raise ValueError(f"no dense score map for algorithm {name!r}")
+    return matcher(s, t)
 
 
 def score_map_only(s: GrayImage, t: GrayImage, algorithm: str) -> ScoreMap:
@@ -535,11 +533,8 @@ def run_algorithm(
     levels: int | None = None,
     radius: int = 2,
 ) -> MatchResult:
-    """Dispatch one of the seven named algorithms."""
-    if name == "sadp":
-        return match_pyramid(s, t, base="sad", levels=levels, radius=radius)
-    if name == "nccp":
-        return match_pyramid(s, t, base="ncc", levels=levels, radius=radius)
-    if name not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
-    return match_dense(name, s, t)[0]
+    """Run one of the seven named algorithms."""
+    matcher = algorithm_entry(name)[0]
+    if isinstance(matcher, str):
+        return match_pyramid(s, t, base=matcher, levels=levels, radius=radius)
+    return matcher(s, t)[0]

@@ -13,12 +13,27 @@ import numpy as np
 
 from .image import GrayImage
 from .matchers import DegenerateTemplateError, ScoreMap, _check_fits
-from .projection import VectorMetric
+from .projection import ColumnVector, VectorMetric
 
 
 def _offsets(s: GrayImage, t: GrayImage) -> tuple[int, int]:
     _check_fits(s, t)
     return s.height - t.height + 1, s.width - t.width + 1
+
+
+def vec_distance(nw: ColumnVector, nt: ColumnVector, metric: VectorMetric) -> int | float:
+    """Distance between two column-sum vectors; exact integer for SSD/SAD."""
+    nw = np.asarray(nw, dtype=np.int64)
+    nt = np.asarray(nt, dtype=np.int64)
+    if nw.shape != nt.shape:
+        raise ValueError(f"length mismatch: {nw.shape} vs {nt.shape}")
+    d = nw - nt
+    if metric is VectorMetric.SAD:
+        return int(np.abs(d).sum())
+    ssd = int(d @ d)
+    if metric is VectorMetric.SSD:
+        return ssd
+    return math.sqrt(ssd)
 
 
 def naive_projected_map(s: GrayImage, t: GrayImage, metric: VectorMetric) -> ScoreMap:
@@ -31,13 +46,7 @@ def naive_projected_map(s: GrayImage, t: GrayImage, metric: VectorMetric) -> Sco
     for i in range(rows):
         for j in range(cols):
             nw = s.pixels[i : i + m, j : j + n].astype(np.int64).sum(axis=0)
-            d = nw - nt
-            if metric is VectorMetric.SAD:
-                out[i, j] = np.abs(d).sum()
-            elif metric is VectorMetric.SSD:
-                out[i, j] = d @ d
-            else:
-                out[i, j] = math.sqrt(int(d @ d))
+            out[i, j] = vec_distance(nw, nt, metric)
     return ScoreMap(out)
 
 

@@ -10,6 +10,45 @@ from vecmatch.cli import main
 from conftest import random_gray
 
 
+# The score field `vecmatch match` prints for an exact crop: an integer for
+# the exact-integer scores, six decimals for the others.
+EXACT_CROP_SCORE = {
+    "ncc": "1.000000",
+    "sad": "0",
+    "nccp": "1.000000",
+    "sadp": "0",
+    "vec-ssd": "0",
+    "vec-sad": "0",
+    "vec-euclid": "0.000000",
+}
+
+# The module attribute each algorithm's search must go through.
+MATCHER_OF = {
+    "ncc": "match_full_ncc",
+    "sad": "match_full_sad",
+    "nccp": "match_pyramid",
+    "sadp": "match_pyramid",
+    "vec-ssd": "match_projected",
+    "vec-sad": "match_projected",
+    "vec-euclid": "match_projected",
+}
+
+
+def count_matcher_calls(monkeypatch) -> list[str]:
+    """Replace each matcher in vecmatch.matchers with a wrapper that appends
+    its name to the returned list on every call."""
+    calls = []
+    for name in sorted(set(MATCHER_OF.values())):
+        original = getattr(matchers, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(matchers, name, counted)
+    return calls
+
+
 @pytest.fixture
 def images(tmp_path, rng):
     ref = random_gray(rng, 64, 80)
@@ -38,13 +77,13 @@ class TestMatch:
         fields = capsys.readouterr().out.split()
         assert fields[:3] == ["10", "20", "0.000000"]
 
-    @pytest.mark.parametrize("algo", ["ncc", "sad", "nccp", "sadp", "vec-sad"])
+    @pytest.mark.parametrize("algo", list(EXACT_CROP_SCORE))
     def test_all_algorithms_find_crop(self, images, capsys, algo):
         ref, tpl = images
         assert main(["match", "--reference", str(ref), "--template", str(tpl),
                      "--algo", algo]) == 0
         fields = capsys.readouterr().out.split()
-        assert fields[:2] == ["10", "20"]
+        assert fields[:3] == ["10", "20", EXACT_CROP_SCORE[algo]]
 
     def test_constant_template_ncc_fails(self, tmp_path, rng, capsys):
         ref_path = tmp_path / "ref.pgm"
@@ -83,25 +122,26 @@ class TestMatch:
             ",".join(repr(v) for v in row) + "\n"
             for row in np.asarray(score_map_only(s, t, algo).scores, dtype=np.float64).tolist()
         )
-        calls = []
-        for name in ("match_projected", "match_full_sad", "match_full_ncc"):
-            original = getattr(matchers, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(matchers, name, counted)
+        calls = count_matcher_calls(monkeypatch)
         out = tmp_path / "map.csv"
         assert main(["match", "--reference", str(ref), "--template", str(tpl),
                      "--algo", algo, "--map", str(out)]) == 0
-        assert len(calls) == 1
+        assert calls == [MATCHER_OF[algo]]
         plain = main(["match", "--reference", str(ref), "--template", str(tpl),
                       "--algo", algo])
-        assert plain == 0 and len(calls) == 2
+        assert plain == 0 and calls == [MATCHER_OF[algo]] * 2
         with_map, without = capsys.readouterr().out.splitlines()
         assert with_map.split()[:3] == without.split()[:3]
         assert out.read_text() == expected_csv
+
+    @pytest.mark.parametrize("algo", list(MATCHER_OF))
+    def test_run_algorithm_reaches_matcher_once(self, images, monkeypatch, algo):
+        ref, tpl = images
+        s, t = decode_pnm(ref.read_bytes()), decode_pnm(tpl.read_bytes())
+        calls = count_matcher_calls(monkeypatch)
+        result = matchers.run_algorithm(algo, s, t)
+        assert calls == [MATCHER_OF[algo]]
+        assert (result.row, result.col, result.metric) == (10, 20, algo)
 
     def test_pyramid_flag_warning(self, images, capsys):
         ref, tpl = images

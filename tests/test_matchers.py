@@ -14,7 +14,6 @@ from vecmatch import (
     ScoreOverflowError,
     TemplateSizeError,
     VectorMetric,
-    build_pyramid,
     crop,
     match_full_ncc,
     match_full_sad,
@@ -238,25 +237,27 @@ class TestMatchFullNcc:
         assert (vals >= -1 - 1e-9).all() and (vals <= 1 + 1e-9).all()
 
 
+def _pyramid(img, levels):
+    return matchers._pyramid_levels(img.pixels.astype(np.float64), levels)
+
+
 class TestBuildPyramid:
     def test_mean_of_2x2(self):
-        pyr = build_pyramid(GrayImage([[1, 2], [3, 4]]), levels=2)
-        assert pyr.levels[1].tolist() == [[2.5]]
+        assert _pyramid(GrayImage([[1, 2], [3, 4]]), 2)[1].tolist() == [[2.5]]
 
     def test_mean_of_equals(self):
-        pyr = build_pyramid(GrayImage(np.full((4, 4), 8, dtype=np.uint8)), levels=2)
-        assert pyr.levels[1].tolist() == [[8.0, 8.0], [8.0, 8.0]]
+        levels = _pyramid(GrayImage(np.full((4, 4), 8, dtype=np.uint8)), 2)
+        assert levels[1].tolist() == [[8.0, 8.0], [8.0, 8.0]]
 
     def test_floor_discards_trailing(self):
-        pyr = build_pyramid(S3, levels=2)
-        assert pyr.levels[1].shape == (1, 1)
-        assert pyr.levels[1][0, 0] == (1 + 2 + 4 + 5) / 4
+        levels = _pyramid(S3, 2)
+        assert levels[1].shape == (1, 1)
+        assert levels[1][0, 0] == (1 + 2 + 4 + 5) / 4
 
     def test_exact_parent_means(self, rng):
-        img = random_gray(rng, 16, 16)
-        pyr = build_pyramid(img, levels=3)
+        levels = _pyramid(random_gray(rng, 16, 16), 3)
         for k in range(1, 3):
-            prev, cur = pyr.levels[k - 1], pyr.levels[k]
+            prev, cur = levels[k - 1], levels[k]
             for x in range(cur.shape[0]):
                 for y in range(cur.shape[1]):
                     parents = prev[2 * x : 2 * x + 2, 2 * y : 2 * y + 2]
@@ -264,7 +265,7 @@ class TestBuildPyramid:
 
     def test_too_many_levels(self):
         with pytest.raises(PyramidDepthError):
-            build_pyramid(GrayImage([[1, 2], [3, 4]]), levels=3)
+            _pyramid(GrayImage([[1, 2], [3, 4]]), 3)
 
 
 class TestMatchPyramid:
@@ -305,10 +306,17 @@ class TestMatchPyramid:
         with pytest.raises(ValueError):
             match_pyramid(S3, T2, base="ssd")
 
+    # levels=3 halves the 2x2 template to 1x1 and then below one pixel.
+    @pytest.mark.parametrize("levels", [0, 3])
+    @pytest.mark.parametrize("base", ["sad", "ncc"])
+    def test_depth_error(self, base, levels):
+        with pytest.raises(PyramidDepthError):
+            match_pyramid(S3, T2, base=base, levels=levels)
+
 
 def _scaled_level(img, k):
     """Level k of img's mean pyramid, and that level as _scaled integers."""
-    level = matchers._pyramid_levels(img.pixels.astype(np.float64), k + 1)[k]
+    level = _pyramid(img, k + 1)[k]
     return level, matchers._scaled(level, k)
 
 
