@@ -46,7 +46,7 @@ def _parse_positions(text: str):
 def _cmd_match(args) -> int:
     s = _load_gray(args.reference, args.color_mode)
     t = _load_gray(args.template, args.color_mode)
-    matcher, exact = algorithm_entry(args.algo)
+    matcher, exact, _ = algorithm_entry(args.algo)
     if not isinstance(matcher, str) and (args.levels is not None or args.radius != 2):
         print(
             f"warning: pyramid flags ignored for algorithm {args.algo}",

@@ -1,9 +1,15 @@
-"""The five search algorithms: projected matcher, full SAD, full NCC, and
-the pyramid-accelerated variants SADP / NCCP.
+"""The seven search algorithms: the projected matcher (vec-ssd, vec-sad,
+vec-euclid), full SAD and NCC, and the pyramid searches SADP / NCCP.
 
 Conventions: all offsets are 0-based top-left corners; valid offsets run over
 the full inclusive ranges 0..p-m and 0..q-n. Distance metrics are minimized,
 NCC is maximized. Ties break to the row-major first occurrence.
+
+run_algorithm("vec-sad") skips the map by successive elimination (Li & Salari,
+1995): a window's vec-SAD is at least |W - T|, W and T the totals of window and
+template. The offsets of bound <= UB, the least exact score at the _SEED_COUNT
+least bounds, hold every minimum and are scored in row-major order; past
+_SURVIVOR_SHARE of all offsets, all are. match_projected and --map are dense.
 """
 
 from __future__ import annotations
@@ -80,23 +86,25 @@ class ScoreMap:
 
 
 # Per algorithm: its dense matcher, (s, t) -> (MatchResult, ScoreMap), or the
-# base metric of its pyramid search; and whether its score is an exact
-# integer. The lambdas look a matcher up in this module when called, so
+# base metric of its pyramid search; whether its score is an exact integer;
+# and a matcher (s, t) -> MatchResult that run_algorithm prefers to the dense
+# one, or None. The lambdas look a matcher up in this module when called, so
 # replacing a module attribute (as tests and tracers do) reaches every caller.
 _TABLE = {
-    "ncc": (lambda s, t: match_full_ncc(s, t), False),
-    "sad": (lambda s, t: match_full_sad(s, t), True),
-    "nccp": ("ncc", False),
-    "sadp": ("sad", True),
-    "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD), True),
-    "vec-sad": (lambda s, t: match_projected(s, t, VectorMetric.SAD), True),
-    "vec-euclid": (lambda s, t: match_projected(s, t, VectorMetric.EUCLIDEAN), False),
+    "ncc": (lambda s, t: match_full_ncc(s, t), False, None),
+    "sad": (lambda s, t: match_full_sad(s, t), True, None),
+    "nccp": ("ncc", False, None),
+    "sadp": ("sad", True, None),
+    "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD), True, None),
+    "vec-sad": (lambda s, t: match_projected(s, t, VectorMetric.SAD), True,
+                lambda s, t: _match_vec_sad(s, t)),
+    "vec-euclid": (lambda s, t: match_projected(s, t, VectorMetric.EUCLIDEAN), False, None),
 }
 ALGORITHMS = tuple(_TABLE)
 
 
-def algorithm_entry(name: str) -> tuple[Callable | str, bool]:
-    """(dense matcher or pyramid base, exact integer score) of an algorithm."""
+def algorithm_entry(name: str) -> tuple[Callable | str, bool, Callable | None]:
+    """(dense matcher or pyramid base, exact score, map-free matcher) of a name."""
     if name not in _TABLE:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
     return _TABLE[name]
@@ -115,8 +123,10 @@ _FLOAT_EXACT_MAX = 2**53
 # Offsets per matrix product in _window_dots.
 _DOT_BLOCK = 64
 _INT32_MAX = int(np.iinfo(np.int32).max)
-# Offsets per row tile of _sad_map.
+# Offsets per row tile of _sad_map, and most cells per gather of _sad_first_min.
 _SAD_TILE = 1 << 16
+_SEED_COUNT = 64
+_SURVIVOR_SHARE = 1 / 8
 
 
 def _fits_int64(worst: int, what: str) -> int:
@@ -261,6 +271,41 @@ def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
                 acc_h += buf_h
         out[r0 : r0 + h] = acc_h
     return out
+
+
+def _sad_first_min(c: np.ndarray, v: np.ndarray) -> tuple[int, int, int]:
+    """First minimum (row, col, score) of _sad_map(c, v[None]); see the module doc."""
+    n = v.shape[0]
+    cols = c.shape[1] - n + 1
+    cum = np.cumsum(c, axis=1)
+    bound = cum[:, n - 1 :] - int(v.sum())
+    bound[:, 1:] -= cum[:, :-n]
+    del cum
+    bound = np.abs(bound, out=bound).ravel()
+    windows = sliding_window_view(c, n, axis=1)
+    def exact(flat: np.ndarray) -> np.ndarray:
+        parts = np.array_split(flat, flat.size * n // _SAD_TILE + 1)
+        sad = [np.abs(windows[f // cols, f % cols] - v).sum(axis=1) for f in parts]
+        return np.concatenate(sad)
+    seeds = np.argpartition(bound, min(_SEED_COUNT, bound.size - 1))[:_SEED_COUNT]
+    keep = bound <= exact(seeds).min()
+    if np.count_nonzero(keep) > _SURVIVOR_SHARE * bound.size:
+        keep, scores = range(bound.size), _sad_map(c, v[None, :]).ravel()
+    else:
+        keep = np.flatnonzero(keep)
+        scores = exact(keep)
+    k = int(np.argmin(scores))
+    return *divmod(int(keep[k]), cols), int(scores[k])
+
+
+def _match_vec_sad(s: GrayImage, t: GrayImage) -> MatchResult:
+    """vec-sad's result from _sad_first_min, without a score map."""
+    start = time.perf_counter_ns()
+    _check_fits(s, t)
+    nt = project_template(t)
+    prefix = build_column_sum_table(s)
+    row, col, best = _sad_first_min(prefix[t.height :] - prefix[: -t.height], nt)
+    return MatchResult(row, col, best, "vec-sad", time.perf_counter_ns() - start)
 
 
 def match_full_sad(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
@@ -534,7 +579,7 @@ def run_algorithm(
     radius: int = 2,
 ) -> MatchResult:
     """Run one of the seven named algorithms."""
-    matcher = algorithm_entry(name)[0]
+    matcher, _, search = algorithm_entry(name)
     if isinstance(matcher, str):
         return match_pyramid(s, t, base=matcher, levels=levels, radius=radius)
-    return matcher(s, t)[0]
+    return search(s, t) if search else matcher(s, t)[0]

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vecmatch
 from vecmatch import GrayImage, Rect, crop, decode_pnm, encode_pgm, score_map_only
 from vecmatch import matchers
 from vecmatch.cli import main
@@ -32,13 +35,15 @@ MATCHER_OF = {
     "vec-sad": "match_projected",
     "vec-euclid": "match_projected",
 }
+# Without --map, vec-sad finds its best offset without the dense score map.
+PLAIN_MATCHER_OF = dict(MATCHER_OF, **{"vec-sad": "_match_vec_sad"})
 
 
 def count_matcher_calls(monkeypatch) -> list[str]:
     """Replace each matcher in vecmatch.matchers with a wrapper that appends
     its name to the returned list on every call."""
     calls = []
-    for name in sorted(set(MATCHER_OF.values())):
+    for name in sorted({*MATCHER_OF.values(), *PLAIN_MATCHER_OF.values()}):
         original = getattr(matchers, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -115,32 +120,40 @@ class TestMatch:
         assert float(grid[10][20]) == 0.0
 
     @pytest.mark.parametrize("algo", ["vec-ssd", "vec-sad", "vec-euclid", "sad", "ncc"])
-    def test_map_runs_matcher_once(self, images, tmp_path, capsys, monkeypatch, algo):
-        ref, tpl = images
-        s, t = decode_pnm(ref.read_bytes()), decode_pnm(tpl.read_bytes())
-        expected_csv = "".join(
-            ",".join(repr(v) for v in row) + "\n"
-            for row in np.asarray(score_map_only(s, t, algo).scores, dtype=np.float64).tolist()
-        )
+    def test_map_runs_matcher_once(self, images, tmp_path, rng, capsys, monkeypatch, algo):
+        # also on a reference tiled from one 3 x 4 block, where the crop
+        # matches exactly at every period, so the best score ties many times
+        tiled = GrayImage(np.tile(random_gray(rng, 3, 4).pixels, (22, 20)))
+        tiled_paths = (tmp_path / "tiled.pgm", tmp_path / "tiled-tpl.pgm")
+        tiled_paths[0].write_bytes(encode_pgm(tiled))
+        tiled_paths[1].write_bytes(encode_pgm(crop(tiled, Rect(10, 20, 16, 16))))
         calls = count_matcher_calls(monkeypatch)
-        out = tmp_path / "map.csv"
-        assert main(["match", "--reference", str(ref), "--template", str(tpl),
-                     "--algo", algo, "--map", str(out)]) == 0
-        assert calls == [MATCHER_OF[algo]]
-        plain = main(["match", "--reference", str(ref), "--template", str(tpl),
-                      "--algo", algo])
-        assert plain == 0 and calls == [MATCHER_OF[algo]] * 2
-        with_map, without = capsys.readouterr().out.splitlines()
-        assert with_map.split()[:3] == without.split()[:3]
-        assert out.read_text() == expected_csv
+        for ref, tpl in (images, tiled_paths):
+            s, t = decode_pnm(ref.read_bytes()), decode_pnm(tpl.read_bytes())
+            expected_csv = "".join(
+                ",".join(repr(v) for v in row) + "\n"
+                for row in np.asarray(score_map_only(s, t, algo).scores,
+                                      dtype=np.float64).tolist()
+            )
+            calls.clear()
+            out = tmp_path / "map.csv"
+            assert main(["match", "--reference", str(ref), "--template", str(tpl),
+                         "--algo", algo, "--map", str(out)]) == 0
+            assert calls == [MATCHER_OF[algo]]
+            plain = main(["match", "--reference", str(ref), "--template", str(tpl),
+                          "--algo", algo])
+            assert plain == 0 and calls == [MATCHER_OF[algo], PLAIN_MATCHER_OF[algo]]
+            with_map, without = capsys.readouterr().out.splitlines()
+            assert with_map.split()[:3] == without.split()[:3]
+            assert out.read_text() == expected_csv
 
-    @pytest.mark.parametrize("algo", list(MATCHER_OF))
+    @pytest.mark.parametrize("algo", list(PLAIN_MATCHER_OF))
     def test_run_algorithm_reaches_matcher_once(self, images, monkeypatch, algo):
         ref, tpl = images
         s, t = decode_pnm(ref.read_bytes()), decode_pnm(tpl.read_bytes())
         calls = count_matcher_calls(monkeypatch)
         result = matchers.run_algorithm(algo, s, t)
-        assert calls == [MATCHER_OF[algo]]
+        assert calls == [PLAIN_MATCHER_OF[algo]]
         assert (result.row, result.col, result.metric) == (10, 20, algo)
 
     def test_pyramid_flag_warning(self, images, capsys):
@@ -204,10 +217,13 @@ def test_console_entry_subprocess(tmp_path):
     ref = GrayImage(np.arange(64, dtype=np.uint8).reshape(8, 8))
     ref_path = tmp_path / "ref.pgm"
     ref_path.write_bytes(encode_pgm(ref))
+    # the child imports the vecmatch this test imported, installed or not
+    src = str(Path(vecmatch.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "vecmatch", "match", "--reference", str(ref_path),
          "--template", str(ref_path), "--algo", "vec-ssd"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.split()[:3] == ["0", "0", "0"]

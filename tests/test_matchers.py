@@ -154,6 +154,64 @@ def test_sad_map_scores_at_and_past_int32():
     assert wide.tolist() == [[3 * 2**30, 2 * 2**30, 2**31]]
 
 
+class TestSadFirstMin:
+    """_match_vec_sad, the successive-elimination search, finds the first
+    minimum of the vec-SAD oracle map and its score."""
+
+    @pytest.fixture(autouse=True, params=["gather", "dense"])
+    def branch(self, request, monkeypatch):
+        # no share of survivors exceeds 1, and every share exceeds 0: the
+        # two limits force the gather and the _sad_map fallback
+        monkeypatch.setattr(matchers, "_SURVIVOR_SHARE", 1 if request.param == "gather" else 0)
+
+    @staticmethod
+    def _check(s, t):
+        scores = naive_projected_map(s, t, VectorMetric.SAD).scores
+        row, col = divmod(int(np.argmin(scores)), scores.shape[1])
+        result = matchers._match_vec_sad(s, t)
+        assert (result.row, result.col, result.score) == (row, col, scores.min())
+        assert type(result.score) is int
+        return result
+
+    def test_random_sweep(self):
+        # as tier-1's oracle sweep: references up to 64^2, templates up to
+        # 16^2; every other template is an exact crop, where the bound prunes
+        rng = np.random.default_rng(64)
+        for k in range(60):
+            p, q = (int(x) for x in rng.integers(4, 65, 2))
+            m, n = int(rng.integers(1, min(16, p) + 1)), int(rng.integers(1, min(16, q) + 1))
+            s = random_gray(rng, p, q)
+            if k % 2:
+                top, left = int(rng.integers(0, p - m + 1)), int(rng.integers(0, q - n + 1))
+                t = crop(s, Rect(top, left, m, n))
+            else:
+                t = random_gray(rng, m, n)
+            self._check(s, t)
+
+    @pytest.mark.parametrize("case", ["1x1", "n=1", "m=p", "n=q", "whole"])
+    def test_edge_shapes(self, case, rng):
+        self._check(*_edge_case(case, rng))
+
+    @pytest.mark.parametrize("tile", [1, 7])
+    def test_gathers_in_chunks(self, tile, rng, monkeypatch):
+        monkeypatch.setattr(matchers, "_SAD_TILE", tile)
+        s = textured_gray(rng, 30, 40, blur=4)
+        self._check(s, crop(s, Rect(11, 17, 6, 5)))
+        self._check(s, random_gray(rng, 6, 5))
+
+    def test_constant_reference_gives_origin(self, rng):
+        s = GrayImage(np.full((9, 11), 7, dtype=np.uint8))
+        for t in (GrayImage(np.full((3, 4), 7, dtype=np.uint8)), random_gray(rng, 3, 4)):
+            result = self._check(s, t)
+            assert (result.row, result.col) == (0, 0)
+
+    def test_periodic_reference_gives_first_match(self, rng):
+        # period 3 x 4: the crop at (7, 9) matches exactly at every (1 + 3i, 1 + 4j)
+        s = GrayImage(np.tile(random_gray(rng, 3, 4).pixels, (6, 7)))
+        result = self._check(s, crop(s, Rect(7, 9, 4, 5)))
+        assert (result.row, result.col, result.score) == (1, 1, 0)
+
+
 class TestSsdRangeGuard:
     # largest n whose worst-case score (255*m)**2 * n still fits int64, at m = 1
     N_MAX = (2**63 - 1) // 255**2
