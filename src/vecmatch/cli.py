@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchPlan, emit_csv, run_plan
 from .image import (
     ColorImage,
     GRAY_MODES,
@@ -72,6 +71,7 @@ def _cmd_crop(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import BenchPlan, emit_csv, run_plan  # here: match needs no csv or statistics
     plan = BenchPlan(
         reference=args.reference,
         sizes=[int(x) for x in args.sizes.split(",")],

@@ -5,11 +5,13 @@ Conventions: all offsets are 0-based top-left corners; valid offsets run over
 the full inclusive ranges 0..p-m and 0..q-n. Distance metrics are minimized,
 NCC is maximized. Ties break to the row-major first occurrence.
 
-run_algorithm("vec-sad") skips the map by successive elimination (Li & Salari,
-1995): a window's vec-SAD is at least |W - T|, W and T the totals of window and
-template. The offsets of bound <= UB, the least exact score at the _SEED_COUNT
-least bounds, hold every minimum and are scored in row-major order; past
-_SURVIVOR_SHARE of all offsets, all are. match_projected and --map are dense.
+Searches that need only the first minimum skip the map by successive
+elimination (Li & Salari, 1995) in _first_min: UB is the least exact score at
+the _SEED_COUNT least lower bounds, and the offsets whose bound allows a score
+<= UB are scored in row-major order; past _SURVIVOR_SHARE of all offsets, all
+are. vec-sad and vec-ssd bound by |W - T| (window and template totals), as
+vec-SAD >= |W - T| and vec-SSD >= (W - T)**2 / n; sadp's coarse SAD by vec-SAD.
+vec-euclid, full sad, match_projected and match_dense (--map) stay dense.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ _TABLE = {
     "sad": (lambda s, t: match_full_sad(s, t), True, None),
     "nccp": ("ncc", False, None),
     "sadp": ("sad", True, None),
-    "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD), True, None),
+    "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD), True,
+                lambda s, t: _match_vec_ssd(s, t)),
     "vec-sad": (lambda s, t: match_projected(s, t, VectorMetric.SAD), True,
                 lambda s, t: _match_vec_sad(s, t)),
     "vec-euclid": (lambda s, t: match_projected(s, t, VectorMetric.EUCLIDEAN), False, None),
@@ -123,7 +126,7 @@ _FLOAT_EXACT_MAX = 2**53
 # Offsets per matrix product in _window_dots.
 _DOT_BLOCK = 64
 _INT32_MAX = int(np.iinfo(np.int32).max)
-# Offsets per row tile of _sad_map, and most cells per gather of _sad_first_min.
+# Offsets per row tile of _sad_map, and most cells per gather of _gathered.
 _SAD_TILE = 1 << 16
 _SEED_COUNT = 64
 _SURVIVOR_SHARE = 1 / 8
@@ -192,6 +195,29 @@ def _argmax_valid(scores: np.ndarray, valid: np.ndarray | None) -> tuple[int, in
     return flat // scores.shape[1], flat % scores.shape[1]
 
 
+def _column_sums(s: GrayImage, t: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of the windows at every row offset, (p-m+1, q), and of t."""
+    prefix = build_column_sum_table(s)
+    return prefix[t.height :] - prefix[: -t.height], project_template(t)
+
+
+def _ssd_map(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
+    """int64 |w - v|^2 = sum(w^2) - 2 w.v + sum(v^2) for every window w of c,
+    whose values are in 0..c_max. sum(w^2) is a horizontal prefix of the
+    squares, built in c's own buffer once w.v is done. int64 arithmetic wraps
+    mod 2**64, so the prefix and the middle terms may wrap, yet every score
+    is exact: _ssd_bound keeps the true value in range."""
+    n = v.shape[0]
+    scores = _window_dots(c, v, c_max)
+    scores *= -2
+    scores += v @ v
+    np.multiply(c, c, out=c)
+    np.cumsum(c, axis=1, out=c)
+    scores += c[:, n - 1 :]
+    scores[:, 1:] -= c[:, :-n]
+    return scores
+
+
 def match_projected(
     s: GrayImage, t: GrayImage, metric: VectorMetric
 ) -> tuple[MatchResult, ScoreMap]:
@@ -201,27 +227,12 @@ def match_projected(
     m, n = t.height, t.width
     if metric is not VectorMetric.SAD:
         _ssd_bound(m, n)
-    nt = project_template(t)
-    prefix = build_column_sum_table(s)
-    # (p-m+1, q) windowed column sums for every row offset at once.
-    col2d = prefix[m:] - prefix[:-m]
+    col2d, nt = _column_sums(s, t)
     if metric is VectorMetric.SAD:
         # A 1 x n template over the column-sum image.
         scores = _sad_map(col2d, nt[None, :])
     else:
-        # |w - t|^2 = sum(w^2) - 2 w.t + sum(t^2) at every offset. sum(w^2)
-        # is a horizontal prefix of the squared column sums, built in col2d's
-        # own buffer once w.t is done. int64 arithmetic wraps mod 2**64, so
-        # the prefix and the middle terms may wrap, yet every score is exact:
-        # _ssd_bound keeps the true value in range.
-        scores = _window_dots(col2d, nt, 255 * m)
-        scores *= -2
-        scores += nt @ nt
-        cum = col2d
-        np.multiply(cum, cum, out=cum)
-        np.cumsum(cum, axis=1, out=cum)
-        scores += cum[:, n - 1 :]
-        scores[:, 1:] -= cum[:, :-n]
+        scores = _ssd_map(col2d, nt, 255 * m)
     row, col = _argmin_first(scores)
     if metric is VectorMetric.EUCLIDEAN:
         scores = np.sqrt(scores.astype(np.float64))
@@ -273,24 +284,37 @@ def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sad_first_min(c: np.ndarray, v: np.ndarray) -> tuple[int, int, int]:
-    """First minimum (row, col, score) of _sad_map(c, v[None]); see the module doc."""
+def _total_gaps(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|W - T| at every offset of v over c, W and T the window and v totals."""
     n = v.shape[0]
-    cols = c.shape[1] - n + 1
     cum = np.cumsum(c, axis=1)
-    bound = cum[:, n - 1 :] - int(v.sum())
-    bound[:, 1:] -= cum[:, :-n]
-    del cum
-    bound = np.abs(bound, out=bound).ravel()
-    windows = sliding_window_view(c, n, axis=1)
+    gaps = cum[:, n - 1 :] - int(v.sum())
+    gaps[:, 1:] -= cum[:, :-n]
+    return np.abs(gaps, out=gaps)
+
+
+def _gathered(a: np.ndarray, t: np.ndarray, dist: np.ufunc) -> Callable:
+    """Exact scorer of template t over image a: flat offsets -> the sum of
+    dist(window - t) per offset, gathered at most _SAD_TILE cells at a time."""
+    windows = sliding_window_view(a, t.shape)
     def exact(flat: np.ndarray) -> np.ndarray:
-        parts = np.array_split(flat, flat.size * n // _SAD_TILE + 1)
-        sad = [np.abs(windows[f // cols, f % cols] - v).sum(axis=1) for f in parts]
-        return np.concatenate(sad)
+        parts = np.array_split(flat, flat.size * t.size // _SAD_TILE + 1)
+        d = (windows[np.unravel_index(f, windows.shape[:2])] - t for f in parts)
+        return np.concatenate([dist(x, out=x).sum(axis=(1, 2)) for x in d])
+    return exact
+
+
+def _first_min(bound: np.ndarray, keep_below: Callable, exact: Callable,
+               dense: Callable) -> tuple[int, int, int]:
+    """First minimum (row, col, score) of the map that dense returns and bound
+    bounds below; see the module doc. keep_below maps UB to the largest bound
+    of a score <= UB, and exact scores flat offsets."""
+    cols = bound.shape[1]
+    bound = bound.ravel()
     seeds = np.argpartition(bound, min(_SEED_COUNT, bound.size - 1))[:_SEED_COUNT]
-    keep = bound <= exact(seeds).min()
+    keep = bound <= keep_below(int(exact(seeds).min()))
     if np.count_nonzero(keep) > _SURVIVOR_SHARE * bound.size:
-        keep, scores = range(bound.size), _sad_map(c, v[None, :]).ravel()
+        keep, scores = range(bound.size), dense().ravel()
     else:
         keep = np.flatnonzero(keep)
         scores = exact(keep)
@@ -299,13 +323,26 @@ def _sad_first_min(c: np.ndarray, v: np.ndarray) -> tuple[int, int, int]:
 
 
 def _match_vec_sad(s: GrayImage, t: GrayImage) -> MatchResult:
-    """vec-sad's result from _sad_first_min, without a score map."""
+    """vec-sad's result from _first_min, without a score map."""
     start = time.perf_counter_ns()
     _check_fits(s, t)
-    nt = project_template(t)
-    prefix = build_column_sum_table(s)
-    row, col, best = _sad_first_min(prefix[t.height :] - prefix[: -t.height], nt)
+    c, nt = _column_sums(s, t)
+    row, col, best = _first_min(_total_gaps(c, nt), lambda ub: ub,
+                                _gathered(c, nt[None], np.abs), lambda: _sad_map(c, nt[None]))
     return MatchResult(row, col, best, "vec-sad", time.perf_counter_ns() - start)
+
+
+def _match_vec_ssd(s: GrayImage, t: GrayImage) -> MatchResult:
+    """vec-ssd's result from _first_min, without a score map. By
+    Cauchy-Schwarz, (W - T)**2 <= n * vec-SSD."""
+    start = time.perf_counter_ns()
+    _check_fits(s, t)
+    _ssd_bound(t.height, t.width)
+    c, nt = _column_sums(s, t)
+    row, col, best = _first_min(_total_gaps(c, nt), lambda ub: math.isqrt(t.width * ub),
+                                _gathered(c, nt[None], np.square),
+                                lambda: _ssd_map(c, nt, 255 * t.height))
+    return MatchResult(row, col, best, "vec-ssd", time.perf_counter_ns() - start)
 
 
 def match_full_sad(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
@@ -475,11 +512,14 @@ def _coarse_search(
     """Full search at pyramid level k: best (row, col, score). The integer
     levels of _scaled multiply every SAD by 4**k, so its best offset is that
     of the float levels, ties included; they leave NCC unchanged up to
-    rounding."""
+    rounding. SAD runs _first_min, bounded by the level's vec-SAD map."""
     if base == "sad":
-        coarse = _sad_map(_scaled(s_level, k), _scaled(t_level, k))
-        br, bc = _argmin_first(coarse)
-        return br, bc, float(coarse[br, bc]) / 4**k
+        s_int, t_int = _scaled(s_level, k), _scaled(t_level, k)
+        m = t_int.shape[0]
+        vec_sad = _sad_map(_window_sums(s_int, m, 1), _window_sums(t_int, m, 1))
+        br, bc, best = _first_min(vec_sad, lambda ub: ub, _gathered(s_int, t_int, np.abs),
+                                  lambda: _sad_map(s_int, t_int))
+        return br, bc, best / 4**k
     if k == 0:
         coarse, valid = _ncc_map(s_level, t_level)
     else:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import vecmatch
-from vecmatch import GrayImage, Rect, crop, decode_pnm, encode_pgm, score_map_only
+from vecmatch import (
+    GrayImage, Rect, ScoreOverflowError, crop, decode_pnm, encode_pgm, score_map_only,
+)
 from vecmatch import matchers
 from vecmatch.cli import main
 from conftest import random_gray
@@ -35,8 +37,10 @@ MATCHER_OF = {
     "vec-sad": "match_projected",
     "vec-euclid": "match_projected",
 }
-# Without --map, vec-sad finds its best offset without the dense score map.
-PLAIN_MATCHER_OF = dict(MATCHER_OF, **{"vec-sad": "_match_vec_sad"})
+# Without --map, vec-sad and vec-ssd find their best offset without the
+# dense score map.
+PLAIN_MATCHER_OF = dict(MATCHER_OF, **{"vec-sad": "_match_vec_sad",
+                                       "vec-ssd": "_match_vec_ssd"})
 
 
 def count_matcher_calls(monkeypatch) -> list[str]:
@@ -155,6 +159,24 @@ class TestMatch:
         result = matchers.run_algorithm(algo, s, t)
         assert calls == [PLAIN_MATCHER_OF[algo]]
         assert (result.row, result.col, result.metric) == (10, 20, algo)
+
+    def test_ssd_range_checked_before_scoring(self, images, capsys, monkeypatch):
+        # as test_matchers' test_checked_before_scoring for match_projected:
+        # without --map, a 16 x 16 vec-ssd trips a limit of 100 before any
+        # prefix table is built
+        ref, tpl = images
+        s, t = decode_pnm(ref.read_bytes()), decode_pnm(tpl.read_bytes())
+        monkeypatch.setattr(matchers, "_INT64_MAX", 100)
+
+        def unreachable(*args):
+            raise AssertionError("scoring started before the range check")
+
+        monkeypatch.setattr(matchers, "build_column_sum_table", unreachable)
+        with pytest.raises(ScoreOverflowError):
+            matchers.run_algorithm("vec-ssd", s, t)
+        assert main(["match", "--reference", str(ref), "--template", str(tpl),
+                     "--algo", "vec-ssd"]) == 1
+        assert "int64" in capsys.readouterr().err
 
     def test_pyramid_flag_warning(self, images, capsys):
         ref, tpl = images

@@ -154,24 +154,57 @@ def test_sad_map_scores_at_and_past_int32():
     assert wide.tolist() == [[3 * 2**30, 2 * 2**30, 2**31]]
 
 
+def _vec_search(metric, matcher):
+    def search(s, t):
+        result = getattr(matchers, matcher)(s, t)
+        assert type(result.score) is int
+        scores = naive_projected_map(s, t, metric).scores
+        return (result.row, result.col, result.score), scores, 1
+    return search
+
+
+def _coarse_sad_search(levels):
+    def search(s, t):
+        # as deep as asked, or as deep as the template's shorter side allows
+        depth = min(levels, min(t.height, t.width).bit_length())
+        k = depth - 1
+        s_k, t_k = (matchers._pyramid_levels(x.pixels.astype(np.float64), depth)[k]
+                    for x in (s, t))
+        s_int, t_int = matchers._scaled(s_k, k), matchers._scaled(t_k, k)
+        scores = np.abs(sliding_window_view(s_int, t_int.shape) - t_int).sum(axis=(2, 3))
+        return matchers._coarse_search(s_k, t_k, "sad", k), scores, 4**k
+    return search
+
+
+# Each caller of matchers._first_min, as search(s, t) -> (its (row, col,
+# score), the dense map whose first minimum it must find, the divisor of
+# that map's scores).
+FIRST_MIN_SEARCHES = {
+    "vec-sad": _vec_search(VectorMetric.SAD, "_match_vec_sad"),
+    "vec-ssd": _vec_search(VectorMetric.SSD, "_match_vec_ssd"),
+    **{f"sadp-levels-{d}": _coarse_sad_search(d) for d in (1, 2, 3)},
+}
+
+
 class TestSadFirstMin:
-    """_match_vec_sad, the successive-elimination search, finds the first
-    minimum of the vec-SAD oracle map and its score."""
+    """Every caller of _first_min, the successive-elimination search, finds
+    the first minimum of its dense map and that minimum's score."""
 
     @pytest.fixture(autouse=True, params=["gather", "dense"])
     def branch(self, request, monkeypatch):
         # no share of survivors exceeds 1, and every share exceeds 0: the
-        # two limits force the gather and the _sad_map fallback
+        # two limits force the gather and the dense fallback
         monkeypatch.setattr(matchers, "_SURVIVOR_SHARE", 1 if request.param == "gather" else 0)
 
     @staticmethod
     def _check(s, t):
-        scores = naive_projected_map(s, t, VectorMetric.SAD).scores
-        row, col = divmod(int(np.argmin(scores)), scores.shape[1])
-        result = matchers._match_vec_sad(s, t)
-        assert (result.row, result.col, result.score) == (row, col, scores.min())
-        assert type(result.score) is int
-        return result
+        """{caller: (row, col, score)} of every caller on (s, t)."""
+        found = {}
+        for name, search in FIRST_MIN_SEARCHES.items():
+            found[name], scores, divisor = search(s, t)
+            first = divmod(int(np.argmin(scores)), scores.shape[1])
+            assert found[name] == (*first, scores.min() / divisor), name
+        return found
 
     def test_random_sweep(self):
         # as tier-1's oracle sweep: references up to 64^2, templates up to
@@ -202,14 +235,26 @@ class TestSadFirstMin:
     def test_constant_reference_gives_origin(self, rng):
         s = GrayImage(np.full((9, 11), 7, dtype=np.uint8))
         for t in (GrayImage(np.full((3, 4), 7, dtype=np.uint8)), random_gray(rng, 3, 4)):
-            result = self._check(s, t)
-            assert (result.row, result.col) == (0, 0)
+            for row, col, _ in self._check(s, t).values():
+                assert (row, col) == (0, 0)
 
     def test_periodic_reference_gives_first_match(self, rng):
         # period 3 x 4: the crop at (7, 9) matches exactly at every (1 + 3i, 1 + 4j)
         s = GrayImage(np.tile(random_gray(rng, 3, 4).pixels, (6, 7)))
-        result = self._check(s, crop(s, Rect(7, 9, 4, 5)))
-        assert (result.row, result.col, result.score) == (1, 1, 0)
+        found = self._check(s, crop(s, Rect(7, 9, 4, 5)))
+        for name in ("vec-sad", "vec-ssd", "sadp-levels-1"):
+            assert found[name] == (1, 1, 0), name
+
+    def test_ssd_keeps_offset_on_threshold(self, rng):
+        # the crop at (2, 3) brightened by 1: its column sums all differ by
+        # m = 3, so (W - T)**2 = n * vec-SSD, Cauchy-Schwarz with equality,
+        # and 42 offsets make every offset a seed, so UB is that vec-SSD
+        s = GrayImage(rng.integers(0, 255, (8, 10), dtype=np.uint8))
+        t = GrayImage(crop(s, Rect(2, 3, 3, 4)).pixels + 1)
+        gap = int(t.pixels.sum(dtype=np.int64)) - int(s.pixels[2:5, 3:7].sum(dtype=np.int64))
+        row, col, score = self._check(s, t)["vec-ssd"]
+        assert (row, col, score) == (2, 3, 4 * 3**2)
+        assert gap**2 == t.width * score
 
 
 class TestSsdRangeGuard:
