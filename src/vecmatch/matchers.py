@@ -78,14 +78,6 @@ class ScoreMap:
         self.scores = scores
         self.valid = valid
 
-    @property
-    def rows(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.scores.shape[1]
-
 
 # Per algorithm: its dense matcher, (s, t) -> (MatchResult, ScoreMap), or the
 # base metric of its pyramid search; whether its score is an exact integer;
@@ -394,7 +386,7 @@ def _window_sums(a: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _template_energy(t_arr: np.ndarray, k: int) -> int:
-    """A*T2 - St**2 of a level-k template scaled to integers (A pixels, sum St,
+    """A*T2 - St**2 of a level-k template of the sum pyramid (A cells, sum St,
     sum of squares T2): its centered energy times A, exact."""
     area = t_arr.size
     _moment_bound(k, area)
@@ -409,14 +401,13 @@ def _ncc_moment_map(
     """The correlation map of _ncc_map for pyramid level k, from exact integer
     moments (Lewis, "Fast Normalized Cross-Correlation", 1995).
 
-    s_arr and t_arr are level k times 4**k, so integers in 0..255*4**k. Per
-    window, with A template pixels: S1 and S2, the sum and the sum of squares,
-    come from integral images, and WT = w.t from one _window_dots map per
-    template row. Then ncc = (A*WT - S1*St) / sqrt((A*S2 - S1**2) *
-    (A*T2 - St**2)), all int64 up to the final ratio; _moment_bound keeps
-    every product in range. One intensity step of level k is 4**-k, so the
-    validity threshold of _ncc_map at that level, 0.4 * (4**-k)**2 on the
-    centered energy, reads A*S2 - S1**2 > 0.4*A here.
+    s_arr and t_arr are level k of the sum pyramid, so integers in
+    0..255*4**k. Per window, with A template pixels: S1 and S2, the sum and
+    the sum of squares, come from integral images, and WT = w.t from one
+    _window_dots map per template row. Then ncc = (A*WT - S1*St) /
+    sqrt((A*S2 - S1**2) * (A*T2 - St**2)), all int64 up to the final ratio;
+    _moment_bound keeps every product in range. The validity threshold of
+    _ncc_map, 0.4 on the centered energy, reads A*S2 - S1**2 > 0.4*A here.
     """
     m, n = t_arr.shape
     area = m * n
@@ -456,20 +447,20 @@ def match_full_ncc(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     )
 
 
-def _halve(arr: np.ndarray) -> np.ndarray:
-    h2, w2 = arr.shape[0] // 2, arr.shape[1] // 2
-    if h2 < 1 or w2 < 1:
-        raise PyramidDepthError(
-            f"cannot halve {arr.shape[0]}x{arr.shape[1]} further"
-        )
-    a = arr[: 2 * h2, : 2 * w2]
-    return (a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2]) / 4.0
-
-
-def _pyramid_levels(arr: np.ndarray, count: int) -> list[np.ndarray]:
-    levels = [arr]
-    for _ in range(count - 1):
-        levels.append(_halve(levels[-1]))
+def _pyramid_levels(pixels: np.ndarray, count: int) -> list[np.ndarray]:
+    """Sum pyramid of uint8 pixels: level 0 is the pixels as int32, and a
+    level-k cell is the exact sum of the 4**k pixels under it, built from
+    2x2 blocks of level k-1, whose odd trailing row and column drop. Level k
+    is int32 while its largest value 255 * 4**k fits, int64 beyond."""
+    levels = [pixels.astype(np.int32)]
+    for k in range(1, count):
+        prev = levels[-1]
+        h2, w2 = prev.shape[0] // 2, prev.shape[1] // 2
+        if h2 < 1 or w2 < 1:
+            raise PyramidDepthError(f"cannot halve {prev.shape[0]}x{prev.shape[1]} further")
+        dtype = np.int32 if 255 * 4**k <= _INT32_MAX else np.int64
+        a = prev[: 2 * h2, : 2 * w2].astype(dtype, copy=False)
+        levels.append(a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2])
     return levels
 
 
@@ -481,49 +472,34 @@ def auto_pyramid_levels(t: GrayImage) -> int:
     return max(1, int(math.floor(math.log2(side / 8))) + 1)
 
 
-def _local_sad(s_arr: np.ndarray, t_arr: np.ndarray, i: int, j: int) -> float:
-    m, n = t_arr.shape
-    return float(np.abs(s_arr[i : i + m, j : j + n] - t_arr).sum())
-
-
 def _local_ncc(
-    s_arr: np.ndarray, tc: np.ndarray, tnorm2: float, threshold: float, i: int, j: int
+    s_arr: np.ndarray, tc: np.ndarray, tnorm2: float, i: int, j: int
 ) -> float | None:
     m, n = tc.shape
     w = s_arr[i : i + m, j : j + n]
     wc = w - w.mean()
     wnorm2 = float(np.einsum("xy,xy->", wc, wc))
-    if wnorm2 <= threshold:
+    if wnorm2 <= 0.4:
         return None
     return float(np.einsum("xy,xy->", wc, tc)) / math.sqrt(wnorm2 * tnorm2)
-
-
-def _scaled(level: np.ndarray, k: int) -> np.ndarray:
-    """Pyramid level k times 4**k: each pixel is a mean of 4**k integers, so
-    this is their exact integer sum."""
-    dtype = np.int32 if 255 * 4**k <= _INT32_MAX else np.int64
-    scaled = level * 4**k
-    return np.rint(scaled, out=scaled).astype(dtype)
 
 
 def _coarse_search(
     s_level: np.ndarray, t_level: np.ndarray, base: str, k: int
 ) -> tuple[int, int, float]:
-    """Full search at pyramid level k: best (row, col, score). The integer
-    levels of _scaled multiply every SAD by 4**k, so its best offset is that
-    of the float levels, ties included; they leave NCC unchanged up to
-    rounding. SAD runs _first_min, bounded by the level's vec-SAD map."""
+    """Full search at level k of the sum pyramid: best (row, col, score).
+    Every SAD there is 4**k times that of the mean pyramid, so its best
+    offset is the same, ties included, and NCC is the same up to rounding.
+    SAD runs _first_min, bounded by the level's vec-SAD map."""
     if base == "sad":
-        s_int, t_int = _scaled(s_level, k), _scaled(t_level, k)
-        m = t_int.shape[0]
-        vec_sad = _sad_map(_window_sums(s_int, m, 1), _window_sums(t_int, m, 1))
-        br, bc, best = _first_min(vec_sad, lambda ub: ub, _gathered(s_int, t_int, np.abs),
-                                  lambda: _sad_map(s_int, t_int))
-        return br, bc, best / 4**k
+        m = t_level.shape[0]
+        vec_sad = _sad_map(_window_sums(s_level, m, 1), _window_sums(t_level, m, 1))
+        return _first_min(vec_sad, lambda ub: ub, _gathered(s_level, t_level, np.abs),
+                          lambda: _sad_map(s_level, t_level))
     if k == 0:
         coarse, valid = _ncc_map(s_level, t_level)
     else:
-        coarse, valid = _ncc_moment_map(_scaled(s_level, k), _scaled(t_level, k), k)
+        coarse, valid = _ncc_moment_map(s_level, t_level, k)
     br, bc = _argmax_valid(coarse, valid)
     return br, bc, float(coarse[br, bc])
 
@@ -535,8 +511,9 @@ def match_pyramid(
     levels: int | None = None,
     radius: int = 2,
 ) -> MatchResult:
-    """Coarse-to-fine search: full search at the coarsest level, then refine
-    within a Chebyshev neighborhood of the doubled best position per level.
+    """Coarse-to-fine search on the sum pyramid: full search at the coarsest
+    level, then refine within a Chebyshev neighborhood of the doubled best
+    position per level.
 
     With automatic depth (levels=None), NCC starts from the deepest level at
     which the template still varies; an explicit depth whose coarsest
@@ -552,41 +529,37 @@ def match_pyramid(
     depth = auto_pyramid_levels(t) if levels is None else levels
     if depth < 1:
         raise PyramidDepthError("level count must be at least 1")
-    s_levels = _pyramid_levels(s.pixels.astype(np.float64), depth)
-    t_levels = _pyramid_levels(t.pixels.astype(np.float64), depth)
+    s_levels = _pyramid_levels(s.pixels, depth)
+    t_levels = _pyramid_levels(t.pixels, depth)
 
     k = depth - 1
     if base == "ncc" and levels is None:
-        # 2x2 means can flatten a template, as they turn a checkerboard into
+        # 2x2 sums can flatten a template, as they turn a checkerboard into
         # one gray; search from the deepest level where it still varies.
-        while k > 0 and (
-            _template_energy(_scaled(t_levels[k], k), k) <= 0.4 * t_levels[k].size
-        ):
+        while k > 0 and _template_energy(t_levels[k], k) <= 0.4 * t_levels[k].size:
             k -= 1
     br, bc, best = _coarse_search(s_levels[k], t_levels[k], base, k)
 
     for k in range(k - 1, -1, -1):
         sk, tk = s_levels[k], t_levels[k]
-        max_r = sk.shape[0] - tk.shape[0]
-        max_c = sk.shape[1] - tk.shape[1]
+        m, n = tk.shape
         cr, cc = 2 * br, 2 * bc
-        r0, r1 = max(0, cr - radius), min(max_r, cr + radius)
-        c0, c1 = max(0, cc - radius), min(max_c, cc + radius)
+        r1, c1 = min(sk.shape[0] - m, cr + radius), min(sk.shape[1] - n, cc + radius)
+        # the doubled position can pass the last offset by one; keep that offset
+        r0, c0 = min(r1, max(0, cr - radius)), min(c1, max(0, cc - radius))
         if base == "sad":
-            best = math.inf
-            for i in range(r0, r1 + 1):
-                for j in range(c0, c1 + 1):
-                    v = _local_sad(sk, tk, i, j)
-                    if v < best:
-                        best, br, bc = v, i, j
+            cols = c1 - c0 + 1
+            exact = _gathered(sk[r0 : r1 + m, c0 : c1 + n], tk, np.abs)
+            scores = exact(np.arange((r1 - r0 + 1) * cols))
+            f = int(np.argmin(scores))
+            best, br, bc = scores[f], r0 + f // cols, c0 + f % cols
         else:
             tc = tk - tk.mean()
             tnorm2 = float(np.einsum("xy,xy->", tc, tc))
-            threshold = 0.4 * (4.0 ** -k) ** 2
             found = False
             for i in range(r0, r1 + 1):
                 for j in range(c0, c1 + 1):
-                    v = _local_ncc(sk, tc, tnorm2, threshold, i, j)
+                    v = _local_ncc(sk, tc, tnorm2, i, j)
                     if v is not None and (not found or v > best):
                         best, br, bc = v, i, j
                         found = True
@@ -595,7 +568,7 @@ def match_pyramid(
 
     elapsed = time.perf_counter_ns() - start
     name = "sadp" if base == "sad" else "nccp"
-    return MatchResult(br, bc, best, name, elapsed)
+    return MatchResult(br, bc, float(best), name, elapsed)
 
 
 def match_dense(name: str, s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:

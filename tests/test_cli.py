@@ -235,17 +235,41 @@ class TestBench:
         assert capsys.readouterr().err != ""
 
 
-def test_console_entry_subprocess(tmp_path):
-    ref = GrayImage(np.arange(64, dtype=np.uint8).reshape(8, 8))
-    ref_path = tmp_path / "ref.pgm"
-    ref_path.write_bytes(encode_pgm(ref))
-    # the child imports the vecmatch this test imported, installed or not
+def _child_env() -> dict:
+    """Environment of a child python that imports the vecmatch this test
+    imported, installed or not."""
     src = str(Path(vecmatch.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _ramp_pgm(tmp_path) -> str:
+    ref_path = tmp_path / "ref.pgm"
+    ref_path.write_bytes(encode_pgm(GrayImage(np.arange(64, dtype=np.uint8).reshape(8, 8))))
+    return str(ref_path)
+
+
+def test_console_entry_subprocess(tmp_path):
+    ref_path = _ramp_pgm(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "vecmatch", "match", "--reference", str(ref_path),
-         "--template", str(ref_path), "--algo", "vec-ssd"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-m", "vecmatch", "match", "--reference", ref_path,
+         "--template", ref_path, "--algo", "vec-ssd"],
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.split()[:3] == ["0", "0", "0"]
+
+
+def test_match_does_not_import_bench(tmp_path):
+    # the bench harness, and its csv and statistics imports, load only for
+    # `vecmatch bench`
+    ref_path = _ramp_pgm(tmp_path)
+    argv = ["match", "--reference", ref_path, "--template", ref_path, "--algo", "sadp"]
+    code = ("import sys\n"
+            "from vecmatch.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('vecmatch.bench' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"

@@ -38,7 +38,7 @@ class TestMatchProjected:
     def test_equal_images(self):
         result, smap = match_projected(S3, S3, VectorMetric.SSD)
         assert (result.row, result.col, result.score) == (0, 0, 0)
-        assert (smap.rows, smap.cols) == (1, 1)
+        assert smap.scores.shape == (1, 1)
 
     def test_score_map_values(self):
         # window vectors (5,7),(7,9),(11,13),(13,15) against NT=(13,15)
@@ -159,7 +159,7 @@ def _vec_search(metric, matcher):
         result = getattr(matchers, matcher)(s, t)
         assert type(result.score) is int
         scores = naive_projected_map(s, t, metric).scores
-        return (result.row, result.col, result.score), scores, 1
+        return (result.row, result.col, result.score), scores
     return search
 
 
@@ -167,18 +167,14 @@ def _coarse_sad_search(levels):
     def search(s, t):
         # as deep as asked, or as deep as the template's shorter side allows
         depth = min(levels, min(t.height, t.width).bit_length())
-        k = depth - 1
-        s_k, t_k = (matchers._pyramid_levels(x.pixels.astype(np.float64), depth)[k]
-                    for x in (s, t))
-        s_int, t_int = matchers._scaled(s_k, k), matchers._scaled(t_k, k)
-        scores = np.abs(sliding_window_view(s_int, t_int.shape) - t_int).sum(axis=(2, 3))
-        return matchers._coarse_search(s_k, t_k, "sad", k), scores, 4**k
+        s_k, t_k = (matchers._pyramid_levels(x.pixels, depth)[-1] for x in (s, t))
+        scores = np.abs(sliding_window_view(s_k, t_k.shape) - t_k).sum(axis=(2, 3))
+        return matchers._coarse_search(s_k, t_k, "sad", depth - 1), scores
     return search
 
 
 # Each caller of matchers._first_min, as search(s, t) -> (its (row, col,
-# score), the dense map whose first minimum it must find, the divisor of
-# that map's scores).
+# score), the dense map whose first minimum it must find).
 FIRST_MIN_SEARCHES = {
     "vec-sad": _vec_search(VectorMetric.SAD, "_match_vec_sad"),
     "vec-ssd": _vec_search(VectorMetric.SSD, "_match_vec_ssd"),
@@ -201,9 +197,9 @@ class TestSadFirstMin:
         """{caller: (row, col, score)} of every caller on (s, t)."""
         found = {}
         for name, search in FIRST_MIN_SEARCHES.items():
-            found[name], scores, divisor = search(s, t)
+            found[name], scores = search(s, t)
             first = divmod(int(np.argmin(scores)), scores.shape[1])
-            assert found[name] == (*first, scores.min() / divisor), name
+            assert found[name] == (*first, scores.min()), name
         return found
 
     def test_random_sweep(self):
@@ -341,33 +337,58 @@ class TestMatchFullNcc:
 
 
 def _pyramid(img, levels):
-    return matchers._pyramid_levels(img.pixels.astype(np.float64), levels)
+    return matchers._pyramid_levels(img.pixels, levels)
+
+
+def _mean_levels(img, count):
+    """The float64 mean pyramid: level k holds the mean of the 4**k pixels
+    under each cell, built by halving."""
+    levels = [img.pixels.astype(np.float64)]
+    for _ in range(count - 1):
+        h2, w2 = levels[-1].shape[0] // 2, levels[-1].shape[1] // 2
+        a = levels[-1][: 2 * h2, : 2 * w2]
+        levels.append((a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2]) / 4.0)
+    return levels
 
 
 class TestBuildPyramid:
-    def test_mean_of_2x2(self):
-        assert _pyramid(GrayImage([[1, 2], [3, 4]]), 2)[1].tolist() == [[2.5]]
+    def test_sum_of_2x2(self):
+        levels = _pyramid(GrayImage([[1, 2], [3, 4]]), 2)
+        assert levels[1].tolist() == [[10]]
+        assert levels[0].dtype == levels[1].dtype == np.int32
 
-    def test_mean_of_equals(self):
-        levels = _pyramid(GrayImage(np.full((4, 4), 8, dtype=np.uint8)), 2)
-        assert levels[1].tolist() == [[8.0, 8.0], [8.0, 8.0]]
+    def test_sum_of_equals(self):
+        levels = _pyramid(GrayImage(np.full((4, 4), 8, dtype=np.uint8)), 3)
+        assert levels[1].tolist() == [[32, 32], [32, 32]]
+        assert levels[2].tolist() == [[128]]
 
     def test_floor_discards_trailing(self):
         levels = _pyramid(S3, 2)
-        assert levels[1].shape == (1, 1)
-        assert levels[1][0, 0] == (1 + 2 + 4 + 5) / 4
+        assert levels[1].tolist() == [[1 + 2 + 4 + 5]]
 
-    def test_exact_parent_means(self, rng):
-        levels = _pyramid(random_gray(rng, 16, 16), 3)
+    def test_exact_parent_sums(self, rng):
+        levels = _pyramid(random_gray(rng, 17, 19), 3)
         for k in range(1, 3):
             prev, cur = levels[k - 1], levels[k]
-            for x in range(cur.shape[0]):
-                for y in range(cur.shape[1]):
-                    parents = prev[2 * x : 2 * x + 2, 2 * y : 2 * y + 2]
-                    assert cur[x, y] == parents.sum() / 4.0
+            assert cur.shape == (prev.shape[0] // 2, prev.shape[1] // 2)
+            for x, y in np.ndindex(cur.shape):
+                assert cur[x, y] == prev[2 * x : 2 * x + 2, 2 * y : 2 * y + 2].sum()
+
+    def test_sums_are_scaled_means(self, rng):
+        img = textured_gray(rng, 96, 80)
+        for k, (sums, means) in enumerate(zip(_pyramid(img, 4), _mean_levels(img, 4))):
+            assert np.array_equal(sums, means * 4**k)
+
+    def test_int64_past_int32(self, monkeypatch):
+        # a level-k cell reaches 255 * 4**k: at this limit level 1 still
+        # fits int32 and level 2 does not
+        monkeypatch.setattr(matchers, "_INT32_MAX", 255 * 4)
+        levels = _pyramid(GrayImage(np.full((8, 8), 255, dtype=np.uint8)), 4)
+        assert [x.dtype for x in levels] == [np.int32, np.int32, np.int64, np.int64]
+        assert [int(x[0, 0]) for x in levels] == [255, 255 * 4, 255 * 16, 255 * 64]
 
     def test_too_many_levels(self):
-        with pytest.raises(PyramidDepthError):
+        with pytest.raises(PyramidDepthError, match="cannot halve 1x1 further"):
             _pyramid(GrayImage([[1, 2], [3, 4]]), 3)
 
 
@@ -409,6 +430,20 @@ class TestMatchPyramid:
         with pytest.raises(ValueError):
             match_pyramid(S3, T2, base="ssd")
 
+    @pytest.mark.parametrize("base", ["sad", "ncc"])
+    def test_refines_past_last_offset(self, base, rng):
+        # the 17 x 17 crop at the last offset (23, 23) of a 40 x 40 reference:
+        # level 1 finds column 12, whose double passes the last column 23;
+        # with radius 0 the one candidate of that level is that last column
+        s = textured_gray(rng, 40, 40, blur=4)
+        t = crop(s, Rect(23, 23, 17, 17))
+        coarse = matchers._coarse_search(*(_pyramid(x, 2)[1] for x in (s, t)), base, 1)
+        assert coarse[1] == 12
+        pyr = match_pyramid(s, t, base=base, levels=2, radius=0)
+        assert (pyr.row, pyr.col) == (2 * coarse[0], 23)
+        full = match_full_sad(s, t)[1] if base == "sad" else match_full_ncc(s, t)[1]
+        assert pyr.score == full.scores[pyr.row, pyr.col]
+
     # levels=3 halves the 2x2 template to 1x1 and then below one pixel.
     @pytest.mark.parametrize("levels", [0, 3])
     @pytest.mark.parametrize("base", ["sad", "ncc"])
@@ -417,14 +452,8 @@ class TestMatchPyramid:
             match_pyramid(S3, T2, base=base, levels=levels)
 
 
-def _scaled_level(img, k):
-    """Level k of img's mean pyramid, and that level as _scaled integers."""
-    level = _pyramid(img, k + 1)[k]
-    return level, matchers._scaled(level, k)
-
-
-def _float_coarse_search(s_level, t_level, base, k):
-    """The coarse search on the float levels themselves."""
+def _mean_coarse_search(s_level, t_level, base, k):
+    """The coarse search on the mean levels themselves."""
     if base == "sad":
         coarse = np.abs(sliding_window_view(s_level, t_level.shape) - t_level).sum(axis=(2, 3))
         br, bc = matchers._argmin_first(coarse)
@@ -434,6 +463,39 @@ def _float_coarse_search(s_level, t_level, base, k):
     coarse, valid = matchers._ncc_map(s_level * 4.0**k, t_level * 4.0**k)
     br, bc = matchers._argmax_valid(coarse, valid)
     return br, bc, float(coarse[br, bc])
+
+
+def _mean_pyramid_search(s, t, base, depth, radius=2):
+    """(row, col, score) of match_pyramid at an explicit depth, searched on
+    the float64 mean pyramid: the coarse search above, then one candidate at
+    a time per level, NCC's validity threshold at 0.4 squared intensity
+    steps of the level, 0.4 * (4**-k)**2."""
+    s_levels, t_levels = _mean_levels(s, depth), _mean_levels(t, depth)
+    k = depth - 1
+    br, bc, best = _mean_coarse_search(s_levels[k], t_levels[k], base, k)
+    for k in range(k - 1, -1, -1):
+        sk, tk = s_levels[k], t_levels[k]
+        m, n = tk.shape
+        rows = range(max(0, 2 * br - radius), min(sk.shape[0] - m, 2 * br + radius) + 1)
+        cols = range(max(0, 2 * bc - radius), min(sk.shape[1] - n, 2 * bc + radius) + 1)
+        tc = tk - tk.mean()
+        tnorm2 = float(np.einsum("xy,xy->", tc, tc))
+        best = None
+        for i in rows:
+            for j in cols:
+                w = sk[i : i + m, j : j + n]
+                if base == "sad":
+                    v = float(np.abs(w - tk).sum())
+                    if best is None or v < best:
+                        best, br, bc = v, i, j
+                    continue
+                wc = w - w.mean()
+                wnorm2 = float(np.einsum("xy,xy->", wc, wc))
+                if wnorm2 > 0.4 * (4.0**-k) ** 2:
+                    v = float(np.einsum("xy,xy->", wc, tc)) / math.sqrt(wnorm2 * tnorm2)
+                    if best is None or v > best:
+                        best, br, bc = v, i, j
+    return br, bc, best
 
 
 def _with_flat_patch(img):
@@ -453,35 +515,41 @@ class TestIntegerCoarseSearch:
     def test_moment_map_matches_ncc_map(self, make, k, rng, dot_path):
         s = _with_flat_patch(make(rng, 96, 80))
         t = crop(s, Rect(50, 36, 40, 32))
-        s_level, s_int = _scaled_level(s, k)
-        _, t_int = _scaled_level(t, k)
-        scores, valid = matchers._ncc_moment_map(s_int, t_int, k)
+        s_k, t_k = _pyramid(s, k + 1)[k], _pyramid(t, k + 1)[k]
+        scores, valid = matchers._ncc_moment_map(s_k, t_k, k)
         expected, expected_valid = matchers._ncc_map(
-            s_int.astype(np.float64), t_int.astype(np.float64)
+            s_k.astype(np.float64), t_k.astype(np.float64)
         )
-        assert scores.shape == (s_level.shape[0] - t_int.shape[0] + 1,
-                                s_level.shape[1] - t_int.shape[1] + 1)
+        assert scores.shape == (s_k.shape[0] - t_k.shape[0] + 1,
+                                s_k.shape[1] - t_k.shape[1] + 1)
         assert np.array_equal(valid, expected_valid)
         assert valid.any() and not valid.all()
         assert np.isnan(scores[~valid]).all()
         np.testing.assert_allclose(scores[valid], expected[valid], rtol=1e-9, atol=0)
 
     def test_flat_template_rejected(self):
-        t = np.tile(np.array([[0, 255], [255, 0]]), (4, 4))  # 2x2 means: all 127.5
-        _, t_int = _scaled_level(GrayImage(t), 1)
+        t = np.tile(np.array([[0, 255], [255, 0]]), (4, 4))  # 2x2 sums: all 510
+        t_1 = _pyramid(GrayImage(t), 2)[1]
         with pytest.raises(DegenerateTemplateError):
-            matchers._ncc_moment_map(t_int, t_int, 1)
+            matchers._ncc_moment_map(t_1, t_1, 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_integer_sad_map_is_scaled_float_map(self, k, rng):
-        s_level, s_int = _scaled_level(textured_gray(rng, 96, 80), k)
-        t_level, t_int = _scaled_level(random_gray(rng, 40, 24), k)
-        assert s_int.dtype == t_int.dtype == np.int32
-        float_map = np.abs(sliding_window_view(s_level, t_level.shape) - t_level).sum(axis=(2, 3))
-        assert np.array_equal(matchers._sad_map(s_int, t_int), float_map * 4**k)
+        s, t = textured_gray(rng, 96, 80), random_gray(rng, 40, 24)
+        s_k, t_k = _pyramid(s, k + 1)[k], _pyramid(t, k + 1)[k]
+        s_mean, t_mean = _mean_levels(s, k + 1)[k], _mean_levels(t, k + 1)[k]
+        assert s_k.dtype == t_k.dtype == np.int32
+        float_map = np.abs(sliding_window_view(s_mean, t_mean.shape) - t_mean).sum(axis=(2, 3))
+        assert np.array_equal(matchers._sad_map(s_k, t_k), float_map * 4**k)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_pyramid_equals_float_coarse_search(self, seed, monkeypatch):
+    # With _INT32_MAX at 0, every level from 1 on is int64.
+    @pytest.mark.parametrize("seed, int32_max", [
+        *(pytest.param(seed, None, id=str(seed)) for seed in range(4)),
+        *(pytest.param(seed, 0, id=f"int64-{seed}") for seed in range(4)),
+    ])
+    def test_pyramid_equals_float_coarse_search(self, seed, int32_max, monkeypatch):
+        if int32_max is not None:
+            monkeypatch.setattr(matchers, "_INT32_MAX", int32_max)
         rng = np.random.default_rng(seed)
         s = textured_gray(rng, 112, 104)
         cases = []
@@ -493,19 +561,20 @@ class TestIntegerCoarseSearch:
                 left = int(rng.integers(0, s.width - n + 1))
                 noisy = crop(s, Rect(top, left, m, n)).pixels + rng.normal(0, 20, (m, n))
                 t = GrayImage(np.clip(np.rint(noisy), 0, 255))
-                cases.append((t, depth))
-            cases.append((random_gray(rng, m, n), depth))
-
-        def run_all():
-            return [
-                (r.row, r.col, r.score)
-                for t, depth in cases
-                for r in (match_pyramid(s, t, base, levels=depth) for base in ("sad", "ncc"))
-            ]
-
-        got = run_all()
-        monkeypatch.setattr(matchers, "_coarse_search", _float_coarse_search)
-        assert got == run_all()
+                cases += [(s, t, depth, "sad"), (s, t, depth, "ncc")]
+            t = random_gray(rng, m, n)
+            cases += [(s, t, depth, "sad"), (s, t, depth, "ncc")]
+        # a reference of period 2 x 3: several exact SAD matches in each
+        # refinement neighborhood, so only the first of them is right (NCC's
+        # coarse ties there fall to rounding, which differs between
+        # _ncc_moment_map and _ncc_map)
+        periodic = GrayImage(np.tile(random_gray(rng, 2, 3).pixels, (48, 30)))
+        t = crop(periodic, Rect(31 + seed, 44 - seed, 20, 23))
+        cases += [(periodic, t, 2, "sad"), (periodic, t, 3, "sad")]
+        for s, t, depth, base in cases:
+            r = match_pyramid(s, t, base, levels=depth)
+            assert type(r.score) is float
+            assert (r.row, r.col, r.score) == _mean_pyramid_search(s, t, base, depth)
 
     def _coarse_levels(self, monkeypatch):
         seen = []
