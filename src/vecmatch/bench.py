@@ -1,11 +1,13 @@
 """Benchmark harness: crop templates of varying sizes from a reference, run
-the matching algorithms, record correctness and median wall time, emit CSV."""
+the matching algorithms, record correctness, median wall time and peak
+memory, emit CSV."""
 
 from __future__ import annotations
 
 import csv
 import io
 import statistics
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -28,6 +30,7 @@ CSV_HEADER = (
     "score",
     "elapsed_ns",
     "repetitions",
+    "peak_bytes",
 )
 
 
@@ -45,6 +48,7 @@ class BenchRecord:
     score: float
     elapsed_ns: int
     repetitions: int
+    peak_bytes: int
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,26 @@ def _resolve(plan: BenchPlan, image: GrayImage) -> list[tuple[int, int, int, int
     return out
 
 
+def peak_bytes(name: str, image: GrayImage, template: GrayImage) -> int:
+    """Most bytes one run_algorithm call holds at once beyond what was
+    allocated before it, as tracemalloc sees them (numpy buffers included)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        run_algorithm(name, image, template)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def run_plan(plan: BenchPlan) -> list[BenchRecord]:
     """One record per (size x algorithm); timing is the median of repetitions
-    of the full match call, preprocessing (tables, pyramids) included."""
+    of the full match call, preprocessing (tables, pyramids) included, and
+    peak_bytes comes from one more, untimed call."""
     if plan.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     for name in plan.algorithms:
@@ -123,6 +144,7 @@ def run_plan(plan: BenchPlan) -> list[BenchRecord]:
                     score=result.score,
                     elapsed_ns=int(statistics.median(timings)),
                     repetitions=plan.repetitions,
+                    peak_bytes=peak_bytes(name, image, template),
                 )
             )
     return records
@@ -147,6 +169,7 @@ def emit_csv(records: Sequence[BenchRecord]) -> bytes:
                 repr(float(r.score)) if isinstance(r.score, float) else r.score,
                 r.elapsed_ns,
                 r.repetitions,
+                r.peak_bytes,
             ]
         )
     return buf.getvalue().encode("utf-8")
@@ -173,6 +196,7 @@ def parse_csv(data: bytes) -> list[BenchRecord]:
                 score=float(row[9]) if "." in row[9] or "e" in row[9] else int(row[9]),
                 elapsed_ns=int(row[10]),
                 repetitions=int(row[11]),
+                peak_bytes=int(row[12]),
             )
         )
     return out

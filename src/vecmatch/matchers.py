@@ -7,10 +7,11 @@ NCC is maximized. Ties break to the row-major first occurrence.
 
 Searches that need only the first minimum skip the map by successive
 elimination (Li & Salari, 1995) in _first_min: UB is the least exact score at
-the _SEED_COUNT least lower bounds, and the offsets whose bound allows a score
-<= UB are scored in row-major order; past _SURVIVOR_SHARE of all offsets, all
-are. vec-sad and vec-ssd bound by |W - T| (window and template totals), as
-vec-SAD >= |W - T| and vec-SSD >= (W - T)**2 / n; sadp's coarse SAD by vec-SAD.
+up to _SEED_COUNT offsets of least lower bound, and the offsets whose bound
+allows a score <= UB are scored in row-major order; past _SURVIVOR_SHARE of
+all offsets, all are. vec-sad and vec-ssd bound by |W - T| (window and
+template totals), as vec-SAD >= |W - T| and vec-SSD >= (W - T)**2 / n;
+sadp's coarse SAD by vec-SAD.
 vec-euclid, full sad, match_projected and match_dense (--map) stay dense.
 """
 
@@ -29,6 +30,7 @@ from .projection import (
     VectorMetric,
     build_column_sum_table,
     project_template,
+    sum_dtype,
 )
 
 
@@ -117,7 +119,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _FLOAT_EXACT_MAX = 2**53
 # Offsets per matrix product in _window_dots.
 _DOT_BLOCK = 64
-_INT32_MAX = int(np.iinfo(np.int32).max)
 # Offsets per row tile of _sad_map, and most cells per gather of _gathered.
 _SAD_TILE = 1 << 16
 _SEED_COUNT = 64
@@ -145,15 +146,16 @@ def _moment_bound(k: int, area: int) -> int:
     return _fits_int64((255 * 4**k * area) ** 2, f"level-{k} template of {area} pixels")
 
 
-def _window_dots(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
-    """int64 map of v . c[i, j : j + len(v)] for every row i and offset j.
+def _window_dots(c: np.ndarray, v: np.ndarray, c_max: int, dtype: type = np.int64) -> np.ndarray:
+    """Map of v . c[i, j : j + len(v)] for every row i and offset j.
 
     c holds integers in 0..c_max and v non-negative integers, so every partial
     sum of a dot product is an integer no larger than c_max * sum(v). While
     that is within _FLOAT_EXACT_MAX, where float64 is exact, each block of
     _DOT_BLOCK offsets is one float64 matrix product against a banded Toeplitz
-    copy of v, band[r, j] = v[r - j]. Beyond it, one int64 einsum over the
-    sliding view.
+    copy of v, band[r, j] = v[r - j], stored in a map of `dtype`; a float64 c
+    is read as it is, other dtypes through one float64 copy. Beyond it, one
+    int64 einsum over the sliding view gives an int64 map.
     """
     n = v.shape[0]
     if c_max * int(v.sum()) > _FLOAT_EXACT_MAX:
@@ -163,8 +165,8 @@ def _window_dots(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
     pad = np.zeros(n + 2 * (block - 1))
     pad[block - 1 : block - 1 + n] = v
     band = np.ascontiguousarray(sliding_window_view(pad, block)[: block + n - 1, ::-1])
-    cf = c.astype(np.float64)
-    out = np.empty((rows, cols), dtype=np.int64)
+    cf = c.astype(np.float64, copy=False)
+    out = np.empty((rows, cols), dtype=dtype)
     for j in range(0, cols, block):
         b = min(block, cols - j)
         out[:, j : j + b] = cf[:, j : j + b + n - 1] @ band[: b + n - 1, :b]
@@ -194,19 +196,27 @@ def _column_sums(s: GrayImage, t: GrayImage) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ssd_map(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
-    """int64 |w - v|^2 = sum(w^2) - 2 w.v + sum(v^2) for every window w of c,
-    whose values are in 0..c_max. sum(w^2) is a horizontal prefix of the
-    squares, built in c's own buffer once w.v is done. int64 arithmetic wraps
-    mod 2**64, so the prefix and the middle terms may wrap, yet every score
-    is exact: _ssd_bound keeps the true value in range."""
+    """|w - v|^2 = sum(w^2) - 2 w.v + sum(v^2) for every window w of c, whose
+    values are in 0..c_max, as exact integers in a float64 or int64 map.
+
+    c is copied once, and the copy serves _window_dots for w.v and then holds
+    the squares and their horizontal prefix, from which sum(w^2) comes. No
+    partial sum, prefix or intermediate map value exceeds 2 * q * c_max**2 in
+    magnitude (q, c's width; -2 w.v reaches 2 * n * c_max**2), so while that
+    is within _FLOAT_EXACT_MAX the copy and the map are float64 and exact.
+    Beyond it they are int64, whose arithmetic wraps mod 2**64: the prefix
+    and the middle terms may wrap, yet every score is exact, as _ssd_bound
+    keeps the true value in range."""
     n = v.shape[0]
-    scores = _window_dots(c, v, c_max)
+    exact_in_float = 2 * c.shape[1] * c_max**2 <= _FLOAT_EXACT_MAX
+    w = c.astype(np.float64 if exact_in_float else np.int64)
+    scores = _window_dots(w, v, c_max, w.dtype)
     scores *= -2
     scores += v @ v
-    np.multiply(c, c, out=c)
-    np.cumsum(c, axis=1, out=c)
-    scores += c[:, n - 1 :]
-    scores[:, 1:] -= c[:, :-n]
+    np.multiply(w, w, out=w)
+    np.cumsum(w, axis=1, out=w)
+    scores += w[:, n - 1 :]
+    scores[:, 1:] -= w[:, :-n]
     return scores
 
 
@@ -227,20 +237,16 @@ def match_projected(
         scores = _ssd_map(col2d, nt, 255 * m)
     row, col = _argmin_first(scores)
     if metric is VectorMetric.EUCLIDEAN:
-        scores = np.sqrt(scores.astype(np.float64))
+        scores = scores.astype(np.float64, copy=False)
+        np.sqrt(scores, out=scores)
         best: float = float(scores[row, col])
         name = "vec-euclid"
     else:
+        scores = scores.astype(np.int64, copy=False)
         best = int(scores[row, col])
         name = "vec-ssd" if metric is VectorMetric.SSD else "vec-sad"
     elapsed = time.perf_counter_ns() - start
     return MatchResult(row, col, best, name, elapsed), ScoreMap(scores)
-
-
-def _sad_dtype(m: int, n: int, peak: int) -> type:
-    """Accumulator of an m x n SAD map over values in 0..peak: int32 while the
-    largest score, peak * m * n, fits, int64 beyond."""
-    return np.int32 if peak * m * n <= _INT32_MAX else np.int64
 
 
 def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
@@ -249,13 +255,13 @@ def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
     Shift and accumulate: for each template cell (a, b), add
     |s[a : a + rows, b : b + cols] - t[a, b]| into the map, one row tile of
     about _SAD_TILE offsets at a time so the accumulator and its scratch
-    stay in cache. No |s - t| exceeds the larger of the two maxima, which
-    with the shape picks the accumulator width (_sad_dtype).
+    stay in cache. No |s - t| exceeds the larger of the two maxima, peak,
+    so the accumulator is sum_dtype(peak * m * n).
     """
     m, n = t_arr.shape
     rows = s_arr.shape[0] - m + 1
     cols = s_arr.shape[1] - n + 1
-    dtype = _sad_dtype(m, n, int(max(s_arr.max(), t_arr.max())))
+    dtype = sum_dtype(int(max(s_arr.max(), t_arr.max())) * m * n)
     s_acc = s_arr.astype(dtype, copy=False)
     t_rows = t_arr.tolist()
     out = np.empty((rows, cols), dtype=np.int64)
@@ -276,10 +282,12 @@ def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _total_gaps(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|W - T| at every offset of v over c, W and T the window and v totals."""
+def _total_gaps(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
+    """|W - T| at every offset of v over c, W and T the window and v totals.
+    c holds values in 0..c_max, so no row prefix of c exceeds c_max * q (q,
+    c's width): the prefix and the map are in sum_dtype of that."""
     n = v.shape[0]
-    cum = np.cumsum(c, axis=1)
+    cum = np.cumsum(c, axis=1, dtype=sum_dtype(c_max * c.shape[1]))
     gaps = cum[:, n - 1 :] - int(v.sum())
     gaps[:, 1:] -= cum[:, :-n]
     return np.abs(gaps, out=gaps)
@@ -303,7 +311,11 @@ def _first_min(bound: np.ndarray, keep_below: Callable, exact: Callable,
     of a score <= UB, and exact scores flat offsets."""
     cols = bound.shape[1]
     bound = bound.ravel()
-    seeds = np.argpartition(bound, min(_SEED_COUNT, bound.size - 1))[:_SEED_COUNT]
+    nth = min(_SEED_COUNT, bound.size) - 1
+    kth = np.partition(bound, nth)[nth]
+    # the seeds: every offset whose bound is below the _SEED_COUNT-th least,
+    # and the first offset at it; no index array over all offsets
+    seeds = np.append(np.flatnonzero(bound < kth), np.argmax(bound == kth))
     keep = bound <= keep_below(int(exact(seeds).min()))
     if np.count_nonzero(keep) > _SURVIVOR_SHARE * bound.size:
         keep, scores = range(bound.size), dense().ravel()
@@ -319,7 +331,7 @@ def _match_vec_sad(s: GrayImage, t: GrayImage) -> MatchResult:
     start = time.perf_counter_ns()
     _check_fits(s, t)
     c, nt = _column_sums(s, t)
-    row, col, best = _first_min(_total_gaps(c, nt), lambda ub: ub,
+    row, col, best = _first_min(_total_gaps(c, nt, 255 * t.height), lambda ub: ub,
                                 _gathered(c, nt[None], np.abs), lambda: _sad_map(c, nt[None]))
     return MatchResult(row, col, best, "vec-sad", time.perf_counter_ns() - start)
 
@@ -331,7 +343,8 @@ def _match_vec_ssd(s: GrayImage, t: GrayImage) -> MatchResult:
     _check_fits(s, t)
     _ssd_bound(t.height, t.width)
     c, nt = _column_sums(s, t)
-    row, col, best = _first_min(_total_gaps(c, nt), lambda ub: math.isqrt(t.width * ub),
+    row, col, best = _first_min(_total_gaps(c, nt, 255 * t.height),
+                                lambda ub: math.isqrt(t.width * ub),
                                 _gathered(c, nt[None], np.square),
                                 lambda: _ssd_map(c, nt, 255 * t.height))
     return MatchResult(row, col, best, "vec-ssd", time.perf_counter_ns() - start)
@@ -458,8 +471,7 @@ def _pyramid_levels(pixels: np.ndarray, count: int) -> list[np.ndarray]:
         h2, w2 = prev.shape[0] // 2, prev.shape[1] // 2
         if h2 < 1 or w2 < 1:
             raise PyramidDepthError(f"cannot halve {prev.shape[0]}x{prev.shape[1]} further")
-        dtype = np.int32 if 255 * 4**k <= _INT32_MAX else np.int64
-        a = prev[: 2 * h2, : 2 * w2].astype(dtype, copy=False)
+        a = prev[: 2 * h2, : 2 * w2].astype(sum_dtype(255 * 4**k), copy=False)
         levels.append(a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2])
     return levels
 

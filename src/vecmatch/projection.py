@@ -16,6 +16,15 @@ from .image import GrayImage
 # 1-D vector of per-column sums; int64, length = template width.
 ColumnVector = np.ndarray
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def sum_dtype(largest: int) -> type:
+    """Integer dtype of an array of sums that reach at most `largest`: int32
+    while it fits, int64 beyond. Half-width tables halve the memory a match
+    writes; every int32-or-int64 choice of the package goes through here."""
+    return np.int32 if largest <= _INT32_MAX else np.int64
+
 
 class VectorMetric(enum.Enum):
     SSD = "ssd"
@@ -30,9 +39,10 @@ def project_template(t: GrayImage) -> ColumnVector:
 
 def build_column_sum_table(s: GrayImage) -> np.ndarray:
     """Read-only vertical prefix sums of a reference: prefix[r, c] is the sum
-    of pixels (0..r-1, c), shape (p+1, q), int64. The column sums of the
-    window of height m at row offset i are prefix[i + m] - prefix[i]."""
-    prefix = np.zeros((s.height + 1, s.width), dtype=np.int64)
+    of pixels (0..r-1, c), shape (p+1, q), in sum_dtype(255 * p): int32 up
+    to p = 8421504 rows. The column sums of the window of height m at row
+    offset i are prefix[i + m] - prefix[i], in the same dtype."""
+    prefix = np.zeros((s.height + 1, s.width), dtype=sum_dtype(255 * s.height))
     # Widen first, then sum in place: cumsum straight from uint8 is ~3x slower.
     prefix[1:] = s.pixels
     np.cumsum(prefix[1:], axis=0, out=prefix[1:])

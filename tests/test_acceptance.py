@@ -212,6 +212,7 @@ def test_criterion_8_round_trips():
                 score=float(rng.random() * 100) if rng.integers(2) else int(rng.integers(1000)),
                 elapsed_ns=int(rng.integers(1, 10**9)),
                 repetitions=int(rng.integers(1, 10)),
+                peak_bytes=int(rng.integers(0, 10**9)),
             )
             for _ in range(int(rng.integers(0, 12)))
         ]

@@ -31,6 +31,7 @@ def test_cardinality_and_correctness(reference_path):
     assert len(records) == 9
     assert all(r.correct for r in records)
     assert all(r.elapsed_ns > 0 for r in records)
+    assert all(r.peak_bytes > 0 for r in records)
 
 
 def test_all_seven_algorithms_correct(reference_path):
@@ -128,7 +129,7 @@ class TestCsv:
         assert data.decode().strip() == ",".join(CSV_HEADER)
 
     def test_one_record_two_lines(self):
-        record = BenchRecord("ref", "sad", 8, 8, 1, 2, 1, 2, True, 0, 1234, 3)
+        record = BenchRecord("ref", "sad", 8, 8, 1, 2, 1, 2, True, 0, 1234, 3, 4096)
         lines = emit_csv([record]).decode().strip().splitlines()
         assert len(lines) == 2
 
@@ -143,12 +144,12 @@ class TestCsv:
         assert parse_csv(emit_csv(records)) == records
 
     def test_round_trip_quoting(self):
-        record = BenchRecord('we,"ird', "sad", 8, 8, 0, 0, 0, 0, False, 1.5, 99, 1)
+        record = BenchRecord('we,"ird', "sad", 8, 8, 0, 0, 0, 0, False, 1.5, 99, 1, 4096)
         assert parse_csv(emit_csv([record])) == [record]
 
     def test_header_fields(self):
         header = emit_csv([]).decode().strip()
         assert header == (
             "reference_id,algorithm,template_h,template_w,true_row,true_col,"
-            "found_row,found_col,correct,score,elapsed_ns,repetitions"
+            "found_row,found_col,correct,score,elapsed_ns,repetitions,peak_bytes"
         )

@@ -21,7 +21,8 @@ from vecmatch import (
     match_pyramid,
     score_map_only,
 )
-from vecmatch import matchers
+from vecmatch import matchers, projection
+from vecmatch.bench import peak_bytes
 from vecmatch.matchers import _moment_bound, _ssd_bound
 from vecmatch.oracle import naive_projected_map, naive_sad_map
 from conftest import random_gray, textured_gray
@@ -56,6 +57,17 @@ class TestMatchProjected:
         assert (result.row, result.col) == (0, 0)
 
 
+def force_int64(path, monkeypatch):
+    """Force the int64 side of the dtype rules that `path` names. The column
+    sum tables, their row totals and SAD accumulators are int32 only below
+    2**31 ("int64-tables"); the SSD map and w.t are float64 only below 2**53
+    ("int64-ssd"); "int64" forces both, and any other path neither."""
+    if path in ("int64", "int64-tables"):
+        monkeypatch.setattr(projection, "_INT32_MAX", 0)
+    if path in ("int64", "int64-ssd"):
+        monkeypatch.setattr(matchers, "_FLOAT_EXACT_MAX", 0)
+
+
 def _edge_case(name, rng):
     """(reference, template) pairs at the indexing edges of the SSD prefix."""
     if name == "1x1":
@@ -81,13 +93,9 @@ def _edge_case(name, rng):
 class TestProjectedSsdEdges:
     CASES = ("1x1", "n=1", "m=p", "n=q", "whole", "blocks", "all-255")
 
-    @pytest.fixture(autouse=True, params=["float64", "int64"])
+    @pytest.fixture(autouse=True, params=["float64", "int64", "int64-tables", "int64-ssd"])
     def int_path(self, request, monkeypatch):
-        # w.t runs in float64 only below 2**53 and SAD accumulates in int32
-        # only below 2**31; zero limits force the int64 path of both
-        if request.param == "int64":
-            monkeypatch.setattr(matchers, "_FLOAT_EXACT_MAX", 0)
-            monkeypatch.setattr(matchers, "_INT32_MAX", 0)
+        force_int64(request.param, monkeypatch)
 
     @pytest.mark.parametrize("case", CASES)
     def test_ssd_bit_exact(self, case, rng):
@@ -135,13 +143,15 @@ class TestProjectedSsdEdges:
 
 
 def test_sad_accumulator_width_at_int32_boundary():
-    assert matchers._sad_dtype(1, 1, 2**31 - 1) is np.int32
-    assert matchers._sad_dtype(1, 1, 2**31) is np.int64
+    # an m x n SAD map over values in 0..peak accumulates in
+    # sum_dtype(peak * m * n)
+    assert projection.sum_dtype(2**31 - 1) is np.int32
+    assert projection.sum_dtype(2**31) is np.int64
     n_max = (2**31 - 1) // 255
-    assert matchers._sad_dtype(1, n_max, 255) is np.int32
-    assert matchers._sad_dtype(1, n_max + 1, 255) is np.int64
+    assert projection.sum_dtype(255 * n_max) is np.int32
+    assert projection.sum_dtype(255 * (n_max + 1)) is np.int64
     # a whole 512 x 512 reference as template still accumulates in int32
-    assert matchers._sad_dtype(512, 512, 255) is np.int32
+    assert projection.sum_dtype(255 * 512 * 512) is np.int32
 
 
 def test_sad_map_scores_at_and_past_int32():
@@ -186,11 +196,13 @@ class TestSadFirstMin:
     """Every caller of _first_min, the successive-elimination search, finds
     the first minimum of its dense map and that minimum's score."""
 
-    @pytest.fixture(autouse=True, params=["gather", "dense"])
+    @pytest.fixture(autouse=True, params=["gather", "dense", "gather-int64", "dense-int64"])
     def branch(self, request, monkeypatch):
         # no share of survivors exceeds 1, and every share exceeds 0: the
         # two limits force the gather and the dense fallback
-        monkeypatch.setattr(matchers, "_SURVIVOR_SHARE", 1 if request.param == "gather" else 0)
+        gather = request.param.startswith("gather")
+        monkeypatch.setattr(matchers, "_SURVIVOR_SHARE", 1 if gather else 0)
+        force_int64(request.param.partition("-")[2], monkeypatch)
 
     @staticmethod
     def _check(s, t):
@@ -234,6 +246,22 @@ class TestSadFirstMin:
             for row, col, _ in self._check(s, t).values():
                 assert (row, col) == (0, 0)
 
+    def test_ties_past_seed_count(self, rng):
+        # a constant reference: all 14 x 17 offsets tie at the
+        # _SEED_COUNT-th least bound |W - T|
+        s = GrayImage(np.full((16, 20), 7, dtype=np.uint8))
+        t = random_gray(rng, 3, 4)
+        bound = matchers._total_gaps(*matchers._column_sums(s, t), 255 * 3)
+        assert bound.size > matchers._SEED_COUNT and (bound == bound[0, 0]).all()
+        for row, col, _ in self._check(s, t).values():
+            assert (row, col) == (0, 0)
+        # rows 8-9 at 3 and a template of 3s: the 34 offsets of rows 7 and 8
+        # lie below the 64th least bound, and the 34 of rows 6 and 9 tie at it
+        arr = np.full((16, 20), 7, dtype=np.uint8)
+        arr[8:10] = 3
+        found = self._check(GrayImage(arr), GrayImage(np.full((3, 4), 3, dtype=np.uint8)))
+        assert found["vec-sad"] == (7, 0, 16) and found["vec-ssd"] == (7, 0, 64)
+
     def test_periodic_reference_gives_first_match(self, rng):
         # period 3 x 4: the crop at (7, 9) matches exactly at every (1 + 3i, 1 + 4j)
         s = GrayImage(np.tile(random_gray(rng, 3, 4).pixels, (6, 7)))
@@ -251,6 +279,19 @@ class TestSadFirstMin:
         row, col, score = self._check(s, t)["vec-ssd"]
         assert (row, col, score) == (2, 3, 4 * 3**2)
         assert gap**2 == t.width * score
+
+
+@pytest.mark.parametrize("algo, per_pixel", [("vec-ssd", 16), ("vec-sad", 16),
+                                             ("vec-euclid", 24)])
+def test_projected_peak_memory(algo, per_pixel, rng):
+    # bytes one request holds at once, per reference pixel, for a 21 x 21
+    # crop of a 512 x 512 reference: ~11.8 for vec-ssd and vec-sad (int32
+    # tables and bounds), ~20 for vec-euclid (int32 column sums, their
+    # float64 copy and the float64 map); int64 tables, which these bounds
+    # reject, took 23.5 and 29.8
+    s = textured_gray(rng, 512, 512)
+    t = crop(s, Rect(245, 245, 21, 21))
+    assert peak_bytes(algo, s, t) <= per_pixel * s.height * s.width
 
 
 class TestSsdRangeGuard:
@@ -382,7 +423,7 @@ class TestBuildPyramid:
     def test_int64_past_int32(self, monkeypatch):
         # a level-k cell reaches 255 * 4**k: at this limit level 1 still
         # fits int32 and level 2 does not
-        monkeypatch.setattr(matchers, "_INT32_MAX", 255 * 4)
+        monkeypatch.setattr(projection, "_INT32_MAX", 255 * 4)
         levels = _pyramid(GrayImage(np.full((8, 8), 255, dtype=np.uint8)), 4)
         assert [x.dtype for x in levels] == [np.int32, np.int32, np.int64, np.int64]
         assert [int(x[0, 0]) for x in levels] == [255, 255 * 4, 255 * 16, 255 * 64]
@@ -549,7 +590,7 @@ class TestIntegerCoarseSearch:
     ])
     def test_pyramid_equals_float_coarse_search(self, seed, int32_max, monkeypatch):
         if int32_max is not None:
-            monkeypatch.setattr(matchers, "_INT32_MAX", int32_max)
+            monkeypatch.setattr(projection, "_INT32_MAX", int32_max)
         rng = np.random.default_rng(seed)
         s = textured_gray(rng, 112, 104)
         cases = []
