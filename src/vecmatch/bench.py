@@ -8,30 +8,14 @@ import csv
 import io
 import statistics
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .image import ColorImage, GrayImage, Rect, crop, decode_pnm, to_gray
 from .matchers import ALGORITHMS, algorithm_entry, run_algorithm
 
 DEFAULT_SIZES = (25, 50, 100, 150, 200)
-
-CSV_HEADER = (
-    "reference_id",
-    "algorithm",
-    "template_h",
-    "template_w",
-    "true_row",
-    "true_col",
-    "found_row",
-    "found_col",
-    "correct",
-    "score",
-    "elapsed_ns",
-    "repetitions",
-    "peak_bytes",
-)
 
 
 @dataclass(frozen=True)
@@ -49,6 +33,17 @@ class BenchRecord:
     elapsed_ns: int
     repetitions: int
     peak_bytes: int
+
+
+# The CSV columns are BenchRecord's fields, in order, each cell written and
+# read by its field's type: a bool as true/false, and the score as
+# repr(float) for a float, else as an integer.
+CSV_HEADER = tuple(f.name for f in fields(BenchRecord))
+_CELL_TYPES = tuple(get_type_hints(BenchRecord)[name] for name in CSV_HEADER)
+_WRITE = {bool: lambda v: "true" if v else "false",
+          float: lambda v: repr(float(v)) if isinstance(v, float) else v}
+_READ = {bool: lambda x: x == "true",
+         float: lambda x: float(x) if "." in x or "e" in x else int(x)}
 
 
 @dataclass(frozen=True)
@@ -155,23 +150,8 @@ def emit_csv(records: Sequence[BenchRecord]) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
     for r in records:
-        writer.writerow(
-            [
-                r.reference_id,
-                r.algorithm,
-                r.template_h,
-                r.template_w,
-                r.true_row,
-                r.true_col,
-                r.found_row,
-                r.found_col,
-                "true" if r.correct else "false",
-                repr(float(r.score)) if isinstance(r.score, float) else r.score,
-                r.elapsed_ns,
-                r.repetitions,
-                r.peak_bytes,
-            ]
-        )
+        writer.writerow([_WRITE.get(kind, str)(getattr(r, name))
+                         for name, kind in zip(CSV_HEADER, _CELL_TYPES)])
     return buf.getvalue().encode("utf-8")
 
 
@@ -180,23 +160,5 @@ def parse_csv(data: bytes) -> list[BenchRecord]:
     rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("missing or unexpected CSV header")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            BenchRecord(
-                reference_id=row[0],
-                algorithm=row[1],
-                template_h=int(row[2]),
-                template_w=int(row[3]),
-                true_row=int(row[4]),
-                true_col=int(row[5]),
-                found_row=int(row[6]),
-                found_col=int(row[7]),
-                correct=row[8] == "true",
-                score=float(row[9]) if "." in row[9] or "e" in row[9] else int(row[9]),
-                elapsed_ns=int(row[10]),
-                repetitions=int(row[11]),
-                peak_bytes=int(row[12]),
-            )
-        )
-    return out
+    return [BenchRecord(*(_READ.get(kind, kind)(x) for kind, x in zip(_CELL_TYPES, row)))
+            for row in rows[1:]]

@@ -13,6 +13,10 @@ all offsets, all are. vec-sad and vec-ssd bound by |W - T| (window and
 template totals), as vec-SAD >= |W - T| and vec-SSD >= (W - T)**2 / n;
 sadp's coarse SAD by vec-SAD.
 vec-euclid, full sad, match_projected and match_dense (--map) stay dense.
+
+_ncc_map, float64 over centered window copies, serves only full ncc; nccp
+takes every NCC, coarse map and refinement, from int64 window moments
+through _ncc_ratio.
 """
 
 from __future__ import annotations
@@ -293,15 +297,35 @@ def _total_gaps(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
     return np.abs(gaps, out=gaps)
 
 
-def _gathered(a: np.ndarray, t: np.ndarray, dist: np.ufunc) -> Callable:
-    """Exact scorer of template t over image a: flat offsets -> the sum of
-    dist(window - t) per offset, gathered at most _SAD_TILE cells at a time."""
+def _gathered(a: np.ndarray, t: np.ndarray, score: Callable) -> Callable:
+    """Exact scorer of template t over image a: flat offsets -> score(windows,
+    t) of the windows at those offsets, (count, m, n), gathered at most
+    _SAD_TILE cells at a time."""
     windows = sliding_window_view(a, t.shape)
     def exact(flat: np.ndarray) -> np.ndarray:
         parts = np.array_split(flat, flat.size * t.size // _SAD_TILE + 1)
-        d = (windows[np.unravel_index(f, windows.shape[:2])] - t for f in parts)
-        return np.concatenate([dist(x, out=x).sum(axis=(1, 2)) for x in d])
+        return np.concatenate([score(windows[np.unravel_index(f, windows.shape[:2])], t)
+                               for f in parts])
     return exact
+
+
+def _sad_scores(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    d = w - t
+    return np.abs(d, out=d).sum(axis=(1, 2))
+
+
+def _ssd_scores(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    d = w - t
+    return np.square(d, out=d).sum(axis=(1, 2))
+
+
+def _ncc_scores(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """NCC of each window of w with t, from its int64 moments."""
+    w = w.astype(np.int64)
+    wt = np.einsum("kij,ij->k", w, t.astype(np.int64))
+    s1 = w.sum(axis=(1, 2))
+    np.multiply(w, w, out=w)
+    return _ncc_ratio(s1, w.sum(axis=(1, 2)), wt, t)
 
 
 def _first_min(bound: np.ndarray, keep_below: Callable, exact: Callable,
@@ -332,7 +356,7 @@ def _match_vec_sad(s: GrayImage, t: GrayImage) -> MatchResult:
     _check_fits(s, t)
     c, nt = _column_sums(s, t)
     row, col, best = _first_min(_total_gaps(c, nt, 255 * t.height), lambda ub: ub,
-                                _gathered(c, nt[None], np.abs), lambda: _sad_map(c, nt[None]))
+                                _gathered(c, nt[None], _sad_scores), lambda: _sad_map(c, nt[None]))
     return MatchResult(row, col, best, "vec-sad", time.perf_counter_ns() - start)
 
 
@@ -345,7 +369,7 @@ def _match_vec_ssd(s: GrayImage, t: GrayImage) -> MatchResult:
     c, nt = _column_sums(s, t)
     row, col, best = _first_min(_total_gaps(c, nt, 255 * t.height),
                                 lambda ub: math.isqrt(t.width * ub),
-                                _gathered(c, nt[None], np.square),
+                                _gathered(c, nt[None], _ssd_scores),
                                 lambda: _ssd_map(c, nt, 255 * t.height))
     return MatchResult(row, col, best, "vec-ssd", time.perf_counter_ns() - start)
 
@@ -398,59 +422,60 @@ def _window_sums(a: np.ndarray, m: int, n: int) -> np.ndarray:
     return ii[m:, n:] - ii[:-m, n:] - ii[m:, :-n] + ii[:-m, :-n]
 
 
-def _template_energy(t_arr: np.ndarray, k: int) -> int:
-    """A*T2 - St**2 of a level-k template of the sum pyramid (A cells, sum St,
-    sum of squares T2): its centered energy times A, exact."""
-    area = t_arr.size
-    _moment_bound(k, area)
+def _template_energy(t_arr: np.ndarray) -> int:
+    """A*T2 - St**2 of an integer template (A cells, sum St, sum of squares
+    T2): its centered energy times A, exact."""
     t64 = t_arr.astype(np.int64)
     st = int(t64.sum())
-    return area * int(np.einsum("ij,ij->", t64, t64)) - st * st
+    return t_arr.size * int(np.einsum("ij,ij->", t64, t64)) - st * st
+
+
+def _ncc_ratio(s1: np.ndarray, s2: np.ndarray, wt: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
+    """NCC of windows of t_arr's shape from their int64 moments (Lewis, "Fast
+    Normalized Cross-Correlation", 1995): S1 and S2, the sum and the sum of
+    squares, and WT = w.t. With A template cells, ncc = (A*WT - S1*St) /
+    sqrt((A*S2 - S1**2) * (A*T2 - St**2)), all int64 up to the final ratio;
+    the caller's _moment_bound keeps every product in range. A window is
+    degenerate, and its score NaN, when its centered energy falls below what
+    a single one-step deviation from its mean would produce: A*S2 - S1**2 <=
+    0.4*A. s2 and wt are overwritten."""
+    area = t_arr.size
+    s2 *= area
+    s2 -= s1 * s1
+    wt *= area
+    wt -= s1 * int(t_arr.sum(dtype=np.int64))
+    valid = s2 > 0.4 * area
+    scores = np.full(wt.shape, np.nan)
+    scores[valid] = wt[valid] / np.sqrt(s2[valid] * float(_template_energy(t_arr)))
+    return scores
 
 
 def _ncc_moment_map(
     s_arr: np.ndarray, t_arr: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The correlation map of _ncc_map for pyramid level k, from exact integer
-    moments (Lewis, "Fast Normalized Cross-Correlation", 1995).
-
-    s_arr and t_arr are level k of the sum pyramid, so integers in
-    0..255*4**k. Per window, with A template pixels: S1 and S2, the sum and
-    the sum of squares, come from integral images, and WT = w.t from one
-    _window_dots map per template row. Then ncc = (A*WT - S1*St) /
-    sqrt((A*S2 - S1**2) * (A*T2 - St**2)), all int64 up to the final ratio;
-    _moment_bound keeps every product in range. The validity threshold of
-    _ncc_map, 0.4 on the centered energy, reads A*S2 - S1**2 > 0.4*A here.
+    """NCC map and validity mask of level k of the sum pyramid, whose values
+    are integers in 0..255*4**k, from _ncc_ratio. Per window, S1 and S2 come
+    from integral images, and WT from one _window_dots map per template row.
     """
     m, n = t_arr.shape
     area = m * n
-    tvar = _template_energy(t_arr, k)
-    if tvar <= 0.4 * area:
+    _moment_bound(k, area)
+    if _template_energy(t_arr) <= 0.4 * area:
         raise DegenerateTemplateError("template has zero intensity variance")
     rows = s_arr.shape[0] - m + 1
-    s1 = _window_sums(s_arr, m, n)
     s64 = s_arr.astype(np.int64)
-    wvar = _window_sums(s64 * s64, m, n)
-    wvar *= area
-    wvar -= s1 * s1
     peak = 255 * 4**k
     wt = _window_dots(s_arr[:rows], t_arr[0], peak)
     for a in range(1, m):
         wt += _window_dots(s_arr[a : a + rows], t_arr[a], peak)
-    wt *= area
-    wt -= s1 * int(t_arr.sum(dtype=np.int64))
-    valid = wvar > 0.4 * area
-    scores = np.full(wt.shape, np.nan)
-    scores[valid] = wt[valid] / np.sqrt(wvar[valid] * float(tvar))
-    return scores, valid
+    scores = _ncc_ratio(_window_sums(s_arr, m, n), _window_sums(s64 * s64, m, n), wt, t_arr)
+    return scores, ~np.isnan(scores)
 
 
 def match_full_ncc(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     """Conventional full-search normalized cross correlation (maximized)."""
     start = time.perf_counter_ns()
     _check_fits(s, t)
-    if int(t.pixels.min()) == int(t.pixels.max()):
-        raise DegenerateTemplateError("template has zero intensity variance")
     scores, valid = _ncc_map(s.pixels.astype(np.float64), t.pixels.astype(np.float64))
     row, col = _argmax_valid(scores, valid)
     elapsed = time.perf_counter_ns() - start
@@ -484,18 +509,6 @@ def auto_pyramid_levels(t: GrayImage) -> int:
     return max(1, int(math.floor(math.log2(side / 8))) + 1)
 
 
-def _local_ncc(
-    s_arr: np.ndarray, tc: np.ndarray, tnorm2: float, i: int, j: int
-) -> float | None:
-    m, n = tc.shape
-    w = s_arr[i : i + m, j : j + n]
-    wc = w - w.mean()
-    wnorm2 = float(np.einsum("xy,xy->", wc, wc))
-    if wnorm2 <= 0.4:
-        return None
-    return float(np.einsum("xy,xy->", wc, tc)) / math.sqrt(wnorm2 * tnorm2)
-
-
 def _coarse_search(
     s_level: np.ndarray, t_level: np.ndarray, base: str, k: int
 ) -> tuple[int, int, float]:
@@ -506,12 +519,9 @@ def _coarse_search(
     if base == "sad":
         m = t_level.shape[0]
         vec_sad = _sad_map(_window_sums(s_level, m, 1), _window_sums(t_level, m, 1))
-        return _first_min(vec_sad, lambda ub: ub, _gathered(s_level, t_level, np.abs),
+        return _first_min(vec_sad, lambda ub: ub, _gathered(s_level, t_level, _sad_scores),
                           lambda: _sad_map(s_level, t_level))
-    if k == 0:
-        coarse, valid = _ncc_map(s_level, t_level)
-    else:
-        coarse, valid = _ncc_moment_map(s_level, t_level, k)
+    coarse, valid = _ncc_moment_map(s_level, t_level, k)
     br, bc = _argmax_valid(coarse, valid)
     return br, bc, float(coarse[br, bc])
 
@@ -536,8 +546,10 @@ def match_pyramid(
         raise ValueError(f"unknown base metric {base!r}; expected 'sad' or 'ncc'")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if base == "ncc" and int(t.pixels.min()) == int(t.pixels.max()):
-        raise DegenerateTemplateError("template has zero intensity variance")
+    if base == "ncc":
+        _moment_bound(0, t.pixels.size)  # no level needs larger moments
+        if int(t.pixels.min()) == int(t.pixels.max()):
+            raise DegenerateTemplateError("template has zero intensity variance")
     depth = auto_pyramid_levels(t) if levels is None else levels
     if depth < 1:
         raise PyramidDepthError("level count must be at least 1")
@@ -548,10 +560,14 @@ def match_pyramid(
     if base == "ncc" and levels is None:
         # 2x2 sums can flatten a template, as they turn a checkerboard into
         # one gray; search from the deepest level where it still varies.
-        while k > 0 and _template_energy(t_levels[k], k) <= 0.4 * t_levels[k].size:
+        while k > 0 and _template_energy(t_levels[k]) <= 0.4 * t_levels[k].size:
             k -= 1
     br, bc, best = _coarse_search(s_levels[k], t_levels[k], base, k)
 
+    # The first least SAD or greatest valid NCC. A neighbourhood holds a valid
+    # NCC: the window covering the valid coarse one is not flat, so its
+    # centered energy is >= 1/2 > 0.4.
+    score, pick = (_sad_scores, np.argmin) if base == "sad" else (_ncc_scores, np.nanargmax)
     for k in range(k - 1, -1, -1):
         sk, tk = s_levels[k], t_levels[k]
         m, n = tk.shape
@@ -559,24 +575,11 @@ def match_pyramid(
         r1, c1 = min(sk.shape[0] - m, cr + radius), min(sk.shape[1] - n, cc + radius)
         # the doubled position can pass the last offset by one; keep that offset
         r0, c0 = min(r1, max(0, cr - radius)), min(c1, max(0, cc - radius))
-        if base == "sad":
-            cols = c1 - c0 + 1
-            exact = _gathered(sk[r0 : r1 + m, c0 : c1 + n], tk, np.abs)
-            scores = exact(np.arange((r1 - r0 + 1) * cols))
-            f = int(np.argmin(scores))
-            best, br, bc = scores[f], r0 + f // cols, c0 + f % cols
-        else:
-            tc = tk - tk.mean()
-            tnorm2 = float(np.einsum("xy,xy->", tc, tc))
-            found = False
-            for i in range(r0, r1 + 1):
-                for j in range(c0, c1 + 1):
-                    v = _local_ncc(sk, tc, tnorm2, i, j)
-                    if v is not None and (not found or v > best):
-                        best, br, bc = v, i, j
-                        found = True
-            if not found:
-                raise NoCandidateError("all refinement candidates are degenerate")
+        cols = c1 - c0 + 1
+        exact = _gathered(sk[r0 : r1 + m, c0 : c1 + n], tk, score)
+        scores = exact(np.arange((r1 - r0 + 1) * cols))
+        f = int(pick(scores))
+        best, br, bc = scores[f], r0 + f // cols, c0 + f % cols
 
     elapsed = time.perf_counter_ns() - start
     name = "sadp" if base == "sad" else "nccp"
