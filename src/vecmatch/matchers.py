@@ -14,9 +14,10 @@ template totals), as vec-SAD >= |W - T| and vec-SSD >= (W - T)**2 / n;
 sadp's coarse SAD by vec-SAD.
 vec-euclid, full sad, match_projected and match_dense (--map) stay dense.
 
-_ncc_map, float64 over centered window copies, serves only full ncc; nccp
-takes every NCC, coarse map and refinement, from int64 window moments
-through _ncc_ratio.
+Every NCC, full ncc's map and nccp's coarse map and refinement, comes from
+int64 window moments through _ncc_ratio; full ncc and refinement score
+gathered windows directly, nccp's coarse map takes its moments from integral
+images. One rule, _flat, says which templates and windows have no NCC.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _ssd_bound(m: int, n: int) -> int:
 
 
 def _moment_bound(k: int, area: int) -> int:
-    """Largest product of integer moments in _ncc_moment_map for a template of
+    """Largest product of integer moments in _ncc_ratio for a template of
     `area` pixels at pyramid level k: (255 * 4**k * area)**2. Raises
     ScoreOverflowError past int64."""
     return _fits_int64((255 * 4**k * area) ** 2, f"level-{k} template of {area} pixels")
@@ -182,15 +183,11 @@ def _argmin_first(scores: np.ndarray) -> tuple[int, int]:
     return flat // scores.shape[1], flat % scores.shape[1]
 
 
-def _argmax_valid(scores: np.ndarray, valid: np.ndarray | None) -> tuple[int, int]:
-    if valid is None:
-        masked = scores
-    else:
-        if not valid.any():
-            raise NoCandidateError("all candidate windows are degenerate")
-        masked = np.where(valid, scores, -np.inf)
-    flat = int(np.argmax(masked))
-    return flat // scores.shape[1], flat % scores.shape[1]
+def _argmax_valid(scores: np.ndarray) -> tuple[int, int]:
+    """First maximum of an NCC map, whose degenerate cells are NaN."""
+    if np.isnan(scores).all():
+        raise NoCandidateError("all candidate windows are degenerate")
+    return divmod(int(np.nanargmax(scores)), scores.shape[1])
 
 
 def _column_sums(s: GrayImage, t: GrayImage) -> tuple[np.ndarray, np.ndarray]:
@@ -319,13 +316,18 @@ def _ssd_scores(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.square(d, out=d).sum(axis=(1, 2))
 
 
-def _ncc_scores(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """NCC of each window of w with t, from its int64 moments."""
-    w = w.astype(np.int64)
-    wt = np.einsum("kij,ij->k", w, t.astype(np.int64))
-    s1 = w.sum(axis=(1, 2))
-    np.multiply(w, w, out=w)
-    return _ncc_ratio(s1, w.sum(axis=(1, 2)), wt, t)
+def _ncc_scorer(t_arr: np.ndarray) -> Callable:
+    """Scorer for _gathered of the NCC of each window with t_arr, from the
+    windows' int64 moments and t_arr's, taken once (_ncc_template); the
+    template _gathered passes is t_arr and goes unused."""
+    tm = _ncc_template(t_arr)
+    def score(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        w = w.astype(np.int64)
+        wt = np.einsum("kij,ij->k", w, tm[0])
+        s1 = w.sum(axis=(1, 2))
+        np.multiply(w, w, out=w)
+        return _ncc_ratio(s1, w.sum(axis=(1, 2)), wt, tm)
+    return score
 
 
 def _first_min(bound: np.ndarray, keep_below: Callable, exact: Callable,
@@ -384,104 +386,94 @@ def match_full_sad(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     return MatchResult(row, col, int(scores[row, col]), "sad", elapsed), ScoreMap(scores)
 
 
-def _ncc_map(s_arr: np.ndarray, t_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-search correlation map with per-window mean/variance recomputed.
-
-    A window is degenerate when its centered energy falls below what a single
-    one-step deviation from its mean would produce.
-    """
-    m, n = t_arr.shape
-    rows = s_arr.shape[0] - m + 1
-    cols = s_arr.shape[1] - n + 1
-    area = m * n
-    threshold = 0.4
-    tc = (t_arr - t_arr.mean()).ravel()
-    tnorm2 = float(tc @ tc)
-    if tnorm2 <= threshold:
-        raise DegenerateTemplateError("template has zero intensity variance")
-    scores = np.full((rows, cols), np.nan)
-    valid = np.zeros((rows, cols), dtype=bool)
-    for i in range(rows):
-        w = sliding_window_view(s_arr[i : i + m], (m, n))[0]
-        wmean = w.mean(axis=(1, 2))
-        wc = (w - wmean[:, None, None]).reshape(cols, area)
-        wnorm2 = np.einsum("jk,jk->j", wc, wc)
-        num = wc @ tc
-        ok = wnorm2 > threshold
-        valid[i] = ok
-        scores[i, ok] = num[ok] / np.sqrt(wnorm2[ok] * tnorm2)
-    return scores, valid
-
-
 def _window_sums(a: np.ndarray, m: int, n: int) -> np.ndarray:
     """int64 sum of every m x n window of a, from an integral image. The
     integral image may wrap past int64; each window sum is still exact while
     its true value fits."""
     ii = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(a, axis=0, dtype=np.int64), axis=1, out=ii[1:, 1:])
-    return ii[m:, n:] - ii[:-m, n:] - ii[m:, :-n] + ii[:-m, :-n]
+    np.cumsum(a, axis=0, dtype=np.int64, out=ii[1:, 1:])
+    np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
+    sums = ii[m:, n:] - ii[:-m, n:]
+    sums -= ii[m:, :-n]
+    sums += ii[:-m, :-n]
+    return sums
 
 
-def _template_energy(t_arr: np.ndarray) -> int:
-    """A*T2 - St**2 of an integer template (A cells, sum St, sum of squares
-    T2): its centered energy times A, exact."""
+def _flat(energy, area: int):
+    """NCC's one degeneracy rule, for a template or, elementwise, windows of
+    `area` integer cells with centered energy times area, A*S2 - S1**2 (S1
+    and S2 the sum and the sum of squares): flat when that is at most 0.4*A,
+    below what a single one-step deviation from the mean produces. Cells that
+    are not all equal give at least A - 1, so for A > 1 flat means constant."""
+    return energy <= 0.4 * area
+
+
+def _template_moments(t_arr: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """t_arr as int64, its sum St, and A*T2 - St**2 (A cells, T2 the sum of
+    squares): its centered energy times A, exact."""
     t64 = t_arr.astype(np.int64)
     st = int(t64.sum())
-    return t_arr.size * int(np.einsum("ij,ij->", t64, t64)) - st * st
+    return t64, st, t_arr.size * int(np.einsum("ij,ij->", t64, t64)) - st * st
 
 
-def _ncc_ratio(s1: np.ndarray, s2: np.ndarray, wt: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
-    """NCC of windows of t_arr's shape from their int64 moments (Lewis, "Fast
-    Normalized Cross-Correlation", 1995): S1 and S2, the sum and the sum of
-    squares, and WT = w.t. With A template cells, ncc = (A*WT - S1*St) /
-    sqrt((A*S2 - S1**2) * (A*T2 - St**2)), all int64 up to the final ratio;
-    the caller's _moment_bound keeps every product in range. A window is
-    degenerate, and its score NaN, when its centered energy falls below what
-    a single one-step deviation from its mean would produce: A*S2 - S1**2 <=
-    0.4*A. s2 and wt are overwritten."""
-    area = t_arr.size
-    s2 *= area
-    s2 -= s1 * s1
-    wt *= area
-    wt -= s1 * int(t_arr.sum(dtype=np.int64))
-    valid = s2 > 0.4 * area
-    scores = np.full(wt.shape, np.nan)
-    scores[valid] = wt[valid] / np.sqrt(s2[valid] * float(_template_energy(t_arr)))
-    return scores
+def _ncc_template(t_arr: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """_template_moments of an NCC template; DegenerateTemplateError if flat."""
+    tm = _template_moments(t_arr)
+    if _flat(tm[2], t_arr.size):
+        raise DegenerateTemplateError("template has zero intensity variance")
+    return tm
 
 
-def _ncc_moment_map(
-    s_arr: np.ndarray, t_arr: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """NCC map and validity mask of level k of the sum pyramid, whose values
-    are integers in 0..255*4**k, from _ncc_ratio. Per window, S1 and S2 come
-    from integral images, and WT from one _window_dots map per template row.
+def _ncc_ratio(s1: np.ndarray, s2: np.ndarray, wt: np.ndarray, tm: tuple) -> np.ndarray:
+    """NCC of windows from their int64 moments and the template's, tm from
+    _ncc_template (Lewis, "Fast Normalized Cross-Correlation", 1995): S1 and
+    S2, the sum and the sum of squares, and WT = w.t. With A template cells,
+    ncc = (A*WT - S1*St) / sqrt((A*S2 - S1**2) * (A*T2 - St**2)), all int64
+    up to the final ratio; the caller's _moment_bound keeps every product in
+    range. A _flat window's score is NaN. s1, s2 and wt are overwritten."""
+    t64, st, energy = tm
+    wt *= t64.size
+    wt -= s1 * st
+    s2 *= t64.size
+    s2 -= np.square(s1, out=s1)
+    scores = np.multiply(s2, float(energy), dtype=np.float64)
+    scores[_flat(s2, t64.size)] = np.nan
+    np.sqrt(scores, out=scores)
+    return np.divide(wt, scores, out=scores)
+
+
+def _ncc_moment_map(s_arr: np.ndarray, t_arr: np.ndarray, k: int) -> np.ndarray:
+    """NCC map of level k of the sum pyramid, whose values are integers in
+    0..255*4**k, from _ncc_ratio, NaN where a window is _flat. Per window,
+    S1 and S2 come from integral images, and WT from one _window_dots map
+    per template row.
     """
     m, n = t_arr.shape
-    area = m * n
-    _moment_bound(k, area)
-    if _template_energy(t_arr) <= 0.4 * area:
-        raise DegenerateTemplateError("template has zero intensity variance")
+    _moment_bound(k, m * n)
+    tm = _ncc_template(t_arr)
     rows = s_arr.shape[0] - m + 1
-    s64 = s_arr.astype(np.int64)
     peak = 255 * 4**k
     wt = _window_dots(s_arr[:rows], t_arr[0], peak)
     for a in range(1, m):
         wt += _window_dots(s_arr[a : a + rows], t_arr[a], peak)
-    scores = _ncc_ratio(_window_sums(s_arr, m, n), _window_sums(s64 * s64, m, n), wt, t_arr)
-    return scores, ~np.isnan(scores)
+    s2 = _window_sums(np.square(s_arr, dtype=np.int64), m, n)
+    return _ncc_ratio(_window_sums(s_arr, m, n), s2, wt, tm)
 
 
 def match_full_ncc(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
-    """Conventional full-search normalized cross correlation (maximized)."""
+    """Conventional full-search normalized cross correlation (maximized): the
+    windows at every offset, gathered and scored directly by _ncc_scorer."""
     start = time.perf_counter_ns()
     _check_fits(s, t)
-    scores, valid = _ncc_map(s.pixels.astype(np.float64), t.pixels.astype(np.float64))
-    row, col = _argmax_valid(scores, valid)
+    _moment_bound(0, t.pixels.size)
+    exact = _gathered(s.pixels, t.pixels, _ncc_scorer(t.pixels))
+    rows, cols = s.height - t.height + 1, s.width - t.width + 1
+    scores = exact(np.arange(rows * cols)).reshape(rows, cols)
+    row, col = _argmax_valid(scores)
     elapsed = time.perf_counter_ns() - start
     return (
         MatchResult(row, col, float(scores[row, col]), "ncc", elapsed),
-        ScoreMap(scores, valid),
+        ScoreMap(scores, ~np.isnan(scores)),
     )
 
 
@@ -521,8 +513,8 @@ def _coarse_search(
         vec_sad = _sad_map(_window_sums(s_level, m, 1), _window_sums(t_level, m, 1))
         return _first_min(vec_sad, lambda ub: ub, _gathered(s_level, t_level, _sad_scores),
                           lambda: _sad_map(s_level, t_level))
-    coarse, valid = _ncc_moment_map(s_level, t_level, k)
-    br, bc = _argmax_valid(coarse, valid)
+    coarse = _ncc_moment_map(s_level, t_level, k)
+    br, bc = _argmax_valid(coarse)
     return br, bc, float(coarse[br, bc])
 
 
@@ -548,8 +540,7 @@ def match_pyramid(
         raise ValueError("radius must be non-negative")
     if base == "ncc":
         _moment_bound(0, t.pixels.size)  # no level needs larger moments
-        if int(t.pixels.min()) == int(t.pixels.max()):
-            raise DegenerateTemplateError("template has zero intensity variance")
+        _ncc_template(t.pixels)
     depth = auto_pyramid_levels(t) if levels is None else levels
     if depth < 1:
         raise PyramidDepthError("level count must be at least 1")
@@ -560,14 +551,14 @@ def match_pyramid(
     if base == "ncc" and levels is None:
         # 2x2 sums can flatten a template, as they turn a checkerboard into
         # one gray; search from the deepest level where it still varies.
-        while k > 0 and _template_energy(t_levels[k]) <= 0.4 * t_levels[k].size:
+        while k > 0 and _flat(_template_moments(t_levels[k])[2], t_levels[k].size):
             k -= 1
     br, bc, best = _coarse_search(s_levels[k], t_levels[k], base, k)
 
     # The first least SAD or greatest valid NCC. A neighbourhood holds a valid
     # NCC: the window covering the valid coarse one is not flat, so its
     # centered energy is >= 1/2 > 0.4.
-    score, pick = (_sad_scores, np.argmin) if base == "sad" else (_ncc_scores, np.nanargmax)
+    pick = np.argmin if base == "sad" else np.nanargmax
     for k in range(k - 1, -1, -1):
         sk, tk = s_levels[k], t_levels[k]
         m, n = tk.shape
@@ -576,6 +567,7 @@ def match_pyramid(
         # the doubled position can pass the last offset by one; keep that offset
         r0, c0 = min(r1, max(0, cr - radius)), min(c1, max(0, cc - radius))
         cols = c1 - c0 + 1
+        score = _sad_scores if base == "sad" else _ncc_scorer(tk)
         exact = _gathered(sk[r0 : r1 + m, c0 : c1 + n], tk, score)
         scores = exact(np.arange((r1 - r0 + 1) * cols))
         f = int(pick(scores))

@@ -65,18 +65,25 @@ def naive_sad_map(s: GrayImage, t: GrayImage) -> ScoreMap:
 
 def naive_ncc_map(s: GrayImage, t: GrayImage) -> ScoreMap:
     """Literal correlation coefficient with per-window means and variances."""
-    rows, cols = _offsets(s, t)
-    m, n = t.height, t.width
-    if int(t.pixels.min()) == int(t.pixels.max()):
+    _offsets(s, t)
+    return naive_ncc_arrays(s.pixels, t.pixels)
+
+
+def naive_ncc_arrays(s_arr: np.ndarray, t_arr: np.ndarray) -> ScoreMap:
+    """naive_ncc_map of two arrays of integer values of any range, such as
+    the levels of a sum pyramid."""
+    m, n = t_arr.shape
+    rows, cols = s_arr.shape[0] - m + 1, s_arr.shape[1] - n + 1
+    if int(t_arr.min()) == int(t_arr.max()):
         raise DegenerateTemplateError("template has zero intensity variance")
-    tf = t.pixels.astype(np.float64)
+    tf = t_arr.astype(np.float64)
     tc = tf - tf.mean()
     tvar = float((tc * tc).sum())
     out = np.full((rows, cols), np.nan)
     valid = np.zeros((rows, cols), dtype=bool)
     for i in range(rows):
         for j in range(cols):
-            w = s.pixels[i : i + m, j : j + n]
+            w = s_arr[i : i + m, j : j + n]
             if int(w.min()) == int(w.max()):
                 continue
             wf = w.astype(np.float64)

@@ -25,7 +25,7 @@ from vecmatch import (
 from vecmatch import matchers, projection
 from vecmatch.bench import peak_bytes
 from vecmatch.matchers import _moment_bound, _ssd_bound
-from vecmatch.oracle import naive_projected_map, naive_sad_map
+from vecmatch.oracle import naive_ncc_arrays, naive_projected_map, naive_sad_map
 from conftest import random_gray, textured_gray
 
 S3 = GrayImage([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -285,16 +285,20 @@ class TestSadFirstMin:
 @pytest.mark.parametrize("algo, side, per_pixel", [
     pytest.param(algo, side, per_pixel, id=f"{algo}-{per_pixel}")
     for algo, side, per_pixel in [("vec-ssd", 21, 16), ("vec-sad", 21, 16),
-                                  ("vec-euclid", 21, 24), ("nccp", 200, 16)]
+                                  ("vec-euclid", 21, 24), ("nccp", 200, 16),
+                                  ("nccp", 12, 48)]
 ])
 def test_projected_peak_memory(algo, side, per_pixel, rng):
     # bytes one request holds at once, per reference pixel, for a centered
     # crop of a 512 x 512 reference. At 21 x 21: ~11.8 for vec-ssd and
     # vec-sad (int32 tables and bounds), ~20 for vec-euclid (int32 column
     # sums, their float64 copy and the float64 map); int64 tables, which
-    # these bounds reject, took 23.5 and 29.8. nccp at 200 x 200 reads ~9.9
+    # these bounds reject, took 23.5 and 29.8. nccp at 200 x 200 reads ~11.1
     # (its int32 pyramid and the refinement's gathers of at most _SAD_TILE
-    # cells); gathering all 25 level-0 windows at once took ~52.
+    # cells); gathering all 25 level-0 windows at once took ~52. At 12 x 12
+    # nccp searches level 0 with _ncc_moment_map, ~37 (its int64 maps, each
+    # 8 bytes per pixel); keeping the int64 copy of the reference beside its
+    # squares and dividing through masked copies took ~67.
     s = textured_gray(rng, 512, 512)
     t = crop(s, Rect((512 - side) // 2, (512 - side) // 2, side, side))
     assert peak_bytes(algo, s, t) <= per_pixel * s.height * s.width
@@ -538,10 +542,11 @@ def _mean_coarse_search(s_level, t_level, base, k):
         coarse = np.abs(sliding_window_view(s_level, t_level.shape) - t_level).sum(axis=(2, 3))
         br, bc = matchers._argmin_first(coarse)
         return br, bc, float(coarse[br, bc])
-    # Scaling by 4**k is exact and leaves NCC unchanged; it puts _ncc_map's
-    # validity threshold of 0.4 at one intensity step of level k.
-    coarse, valid = matchers._ncc_map(s_level * 4.0**k, t_level * 4.0**k)
-    br, bc = matchers._argmax_valid(coarse, valid)
+    # Scaling by 4**k is exact and leaves NCC unchanged; it makes the
+    # levels integers, on which the oracle's windows are flat exactly when
+    # they are constant.
+    coarse = naive_ncc_arrays(s_level * 4.0**k, t_level * 4.0**k).scores
+    br, bc = matchers._argmax_valid(coarse)
     return br, bc, float(coarse[br, bc])
 
 
@@ -596,16 +601,14 @@ class TestIntegerCoarseSearch:
         s = _with_flat_patch(make(rng, 96, 80))
         t = crop(s, Rect(50, 36, 40, 32))
         s_k, t_k = _pyramid(s, k + 1)[k], _pyramid(t, k + 1)[k]
-        scores, valid = matchers._ncc_moment_map(s_k, t_k, k)
-        expected, expected_valid = matchers._ncc_map(
-            s_k.astype(np.float64), t_k.astype(np.float64)
-        )
+        scores = matchers._ncc_moment_map(s_k, t_k, k)
+        expected = naive_ncc_arrays(s_k, t_k)
+        valid = ~np.isnan(scores)
         assert scores.shape == (s_k.shape[0] - t_k.shape[0] + 1,
                                 s_k.shape[1] - t_k.shape[1] + 1)
-        assert np.array_equal(valid, expected_valid)
+        assert np.array_equal(valid, expected.valid)
         assert valid.any() and not valid.all()
-        assert np.isnan(scores[~valid]).all()
-        np.testing.assert_allclose(scores[valid], expected[valid], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(scores[valid], expected.scores[valid], rtol=1e-9, atol=0)
 
     def test_flat_template_rejected(self):
         t = np.tile(np.array([[0, 255], [255, 0]]), (4, 4))  # 2x2 sums: all 510
@@ -647,7 +650,7 @@ class TestIntegerCoarseSearch:
         # a reference of period 2 x 3: several exact SAD matches in each
         # refinement neighborhood, so only the first of them is right (NCC's
         # coarse ties there fall to rounding, which differs between
-        # _ncc_moment_map and _ncc_map)
+        # _ncc_moment_map and the oracle)
         periodic = GrayImage(np.tile(random_gray(rng, 2, 3).pixels, (48, 30)))
         t = crop(periodic, Rect(31 + seed, 44 - seed, 20, 23))
         cases += [(periodic, t, 2, "sad"), (periodic, t, 3, "sad")]
@@ -710,10 +713,18 @@ class TestMomentRangeGuard:
         monkeypatch.setattr(matchers, "_INT64_MAX", worst)
         for levels in (None, 2):
             assert match_pyramid(s, t, base="ncc", levels=levels).score == pytest.approx(1.0)
+        assert match_full_ncc(s, t)[0].score == pytest.approx(1.0)
         monkeypatch.setattr(matchers, "_INT64_MAX", worst - 1)
+
+        def unreachable(*args):
+            raise AssertionError("scoring started before the range check")
+
+        monkeypatch.setattr(matchers, "_ncc_ratio", unreachable)
         for levels in (None, 1, 2):
             with pytest.raises(ScoreOverflowError):
                 match_pyramid(s, t, base="ncc", levels=levels)
+        with pytest.raises(ScoreOverflowError):
+            match_full_ncc(s, t)
         # SAD needs no guard
         assert match_pyramid(s, t, base="sad", levels=2).score == 0
 
