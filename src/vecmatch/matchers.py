@@ -14,6 +14,11 @@ template totals), as vec-SAD >= |W - T| and vec-SSD >= (W - T)**2 / n;
 sadp's coarse SAD by vec-SAD.
 vec-euclid, full sad, match_projected and match_dense (--map) stay dense.
 
+Every SAD map, full sad's, vec-sad's and sadp's coarse bound and fallback,
+comes from one full-search kernel, _sad_map: every cell of every window,
+one numpy add per template cell and row tile, over int16 differences while
+the inputs fit them.
+
 Every NCC, full ncc's map and nccp's coarse map and refinement, comes from
 int64 window moments through _ncc_ratio; full ncc and refinement score
 gathered windows directly, nccp's coarse map takes its moments from integral
@@ -24,6 +29,8 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +41,7 @@ from .image import GrayImage
 from .projection import (
     VectorMetric,
     build_column_sum_table,
+    narrow_run,
     project_template,
     sum_dtype,
 )
@@ -124,7 +132,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _FLOAT_EXACT_MAX = 2**53
 # Offsets per matrix product in _window_dots.
 _DOT_BLOCK = 64
-# Offsets per row tile of _sad_map, and most cells per gather of _gathered.
+# Accumulator cells per row tile of _sad_map (_SAD_TILE // q offset rows),
+# and most cells per gather of _gathered.
 _SAD_TILE = 1 << 16
 _SEED_COUNT = 64
 _SURVIVOR_SHARE = 1 / 8
@@ -251,35 +260,64 @@ def match_projected(
 
 
 def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
-    """int64 full-search SAD map of non-negative integer arrays.
+    """int64 full-search SAD map of non-negative integer arrays: every cell
+    of every window differenced and summed, O(m*n) per offset.
 
-    Shift and accumulate: for each template cell (a, b), add
-    |s[a : a + rows, b : b + cols] - t[a, b]| into the map, one row tile of
-    about _SAD_TILE offsets at a time so the accumulator and its scratch
-    stay in cache. No |s - t| exceeds the larger of the two maxima, peak,
-    so the accumulator is sum_dtype(peak * m * n).
+    Shift and accumulate over row tiles of _SAD_TILE // q offset rows, so
+    the buffers stay in cache. The reference is one flat vector of row
+    stride q, padded by n - 1 cells, so template cell (a, b) adds the
+    contiguous slice D[a*q + b :][: h*q] into an h*q accumulator whose
+    columns from cols on are never read. D = |band - v| is taken once per
+    distinct template value v, over the span of the tile's band that the
+    cells holding v read, so each cell costs one add.
+
+    No |s - t| exceeds the larger of the two maxima, peak. While
+    narrow_run(peak) is nonzero, D is int16 and is summed through its
+    uint16 view into uint16 partials, which flush into the
+    sum_dtype(peak * m * n) total every narrow_run(peak) cells (257 for
+    pixels); beyond it, D and the partial are of the total's dtype.
     """
     m, n = t_arr.shape
-    rows = s_arr.shape[0] - m + 1
-    cols = s_arr.shape[1] - n + 1
-    dtype = sum_dtype(int(max(s_arr.max(), t_arr.max())) * m * n)
-    s_acc = s_arr.astype(dtype, copy=False)
-    t_rows = t_arr.tolist()
+    p, q = s_arr.shape
+    rows, cols = p - m + 1, q - n + 1
+    peak = int(max(s_arr.max(), t_arr.max()))
+    total_dtype = sum_dtype(peak * m * n)
+    run = narrow_run(peak)
+    d_dtype, part_dtype = (np.int16, np.uint16) if run else (total_dtype, total_dtype)
+    run = run or m * n  # a wide partial takes every cell
+    flat = np.zeros(p * q + n - 1, dtype=d_dtype)
+    flat[: p * q] = s_arr.ravel()
+    # flat offsets a*q + b of the cells holding each value, in row-major
+    # order; 8 bytes a cell, where a list of ints takes ~40
+    groups: dict[int, array] = defaultdict(lambda: array("q"))
+    for a, t_row in enumerate(t_arr.tolist()):
+        for b, v in enumerate(t_row):
+            groups[v].append(a * q + b)
+    tile = min(rows, max(1, _SAD_TILE // q))
+    d_buf = np.empty((tile + m - 1) * q + n - 1, dtype=d_dtype)
+    part = np.empty(tile * q, dtype=part_dtype)
+    total = np.empty(tile * q, dtype=total_dtype)
     out = np.empty((rows, cols), dtype=np.int64)
-    tile = min(rows, max(1, _SAD_TILE // cols))
-    acc = np.empty((tile, cols), dtype=dtype)
-    buf = np.empty_like(acc)
     for r0 in range(0, rows, tile):
         h = min(tile, rows - r0)
-        acc_h, buf_h = acc[:h], buf[:h]
-        acc_h.fill(0)
-        for a, t_row in enumerate(t_rows):
-            band = s_acc[r0 + a : r0 + a + h]
-            for b, v in enumerate(t_row):
-                np.subtract(band[:, b : b + cols], v, out=buf_h)
-                np.abs(buf_h, out=buf_h)
-                acc_h += buf_h
-        out[r0 : r0 + h] = acc_h
+        size = h * q
+        part_h, total_h = part[:size], total[:size]
+        part_h.fill(0)
+        total_h.fill(0)
+        added = 0
+        for v, offsets in groups.items():
+            lo = offsets[0]
+            band = flat[r0 * q + lo : r0 * q + offsets[-1] + size]
+            d = np.subtract(band, v, out=d_buf[: band.size])
+            d = np.abs(d, out=d).view(part_dtype)
+            for o in offsets:
+                np.add(part_h, d[o - lo : o - lo + size], out=part_h)
+                added += 1
+                if added % run == 0:
+                    total_h += part_h
+                    part_h.fill(0)
+        total_h += part_h
+        out[r0 : r0 + h] = total_h.reshape(h, q)[:, :cols]
     return out
 
 

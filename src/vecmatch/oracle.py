@@ -52,13 +52,20 @@ def naive_projected_map(s: GrayImage, t: GrayImage, metric: VectorMetric) -> Sco
 
 def naive_sad_map(s: GrayImage, t: GrayImage) -> ScoreMap:
     """Literal double-loop sum of absolute differences."""
-    rows, cols = _offsets(s, t)
-    m, n = t.height, t.width
-    tt = t.pixels.astype(np.int64)
+    _offsets(s, t)
+    return naive_sad_arrays(s.pixels, t.pixels)
+
+
+def naive_sad_arrays(s_arr: np.ndarray, t_arr: np.ndarray) -> ScoreMap:
+    """naive_sad_map of two arrays of non-negative integers of any range,
+    such as the levels of a sum pyramid."""
+    m, n = t_arr.shape
+    rows, cols = s_arr.shape[0] - m + 1, s_arr.shape[1] - n + 1
+    tt = t_arr.astype(np.int64)
     out = np.empty((rows, cols), dtype=np.int64)
     for i in range(rows):
         for j in range(cols):
-            w = s.pixels[i : i + m, j : j + n].astype(np.int64)
+            w = s_arr[i : i + m, j : j + n].astype(np.int64)
             out[i, j] = np.abs(w - tt).sum()
     return ScoreMap(out)
 

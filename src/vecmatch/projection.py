@@ -17,6 +17,8 @@ from .image import GrayImage
 ColumnVector = np.ndarray
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
+_INT16_MAX = int(np.iinfo(np.int16).max)
+_UINT16_MAX = int(np.iinfo(np.uint16).max)
 
 
 def sum_dtype(largest: int) -> type:
@@ -24,6 +26,14 @@ def sum_dtype(largest: int) -> type:
     while it fits, int64 beyond. Half-width tables halve the memory a match
     writes; every int32-or-int64 choice of the package goes through here."""
     return np.int32 if largest <= _INT32_MAX else np.int64
+
+
+def narrow_run(peak: int) -> int:
+    """How many |differences| of values in 0..peak a uint16 partial sum can
+    take: 65535 // peak while peak fits int16, where the differences are
+    int16 and read through their uint16 view; 0 beyond, where they are
+    sum_dtype wide. Every int16-or-wider choice goes through here."""
+    return _UINT16_MAX // max(peak, 1) if peak <= _INT16_MAX else 0
 
 
 class VectorMetric(enum.Enum):

@@ -25,7 +25,12 @@ from vecmatch import (
 from vecmatch import matchers, projection
 from vecmatch.bench import peak_bytes
 from vecmatch.matchers import _moment_bound, _ssd_bound
-from vecmatch.oracle import naive_ncc_arrays, naive_projected_map, naive_sad_map
+from vecmatch.oracle import (
+    naive_ncc_arrays,
+    naive_projected_map,
+    naive_sad_arrays,
+    naive_sad_map,
+)
 from conftest import random_gray, textured_gray
 
 S3 = GrayImage([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -59,10 +64,15 @@ class TestMatchProjected:
 
 
 def force_int64(path, monkeypatch):
-    """Force the int64 side of the dtype rules that `path` names. The column
-    sum tables, their row totals and SAD accumulators are int32 only below
-    2**31 ("int64-tables"); the SSD map and w.t are float64 only below 2**53
-    ("int64-ssd"); "int64" forces both, and any other path neither."""
+    """Force the wide side of the dtype rules that `path` names. SAD's
+    differences are int16 only while the inputs are at most 2**15 - 1
+    ("int32" forces them to their total's dtype); the column sum tables,
+    their row totals and SAD totals are int32 only below 2**31
+    ("int64-tables"); the SSD map and w.t are float64 only below 2**53
+    ("int64-ssd"); "int64" forces all three, and any other path, such as
+    "narrow", none."""
+    if path in ("int64", "int32"):
+        monkeypatch.setattr(projection, "_INT16_MAX", -1)
     if path in ("int64", "int64-tables"):
         monkeypatch.setattr(projection, "_INT32_MAX", 0)
     if path in ("int64", "int64-ssd"):
@@ -93,6 +103,8 @@ def _edge_case(name, rng):
 
 class TestProjectedSsdEdges:
     CASES = ("1x1", "n=1", "m=p", "n=q", "whole", "blocks", "all-255")
+    # int16 differences into int32 and int64 totals, and all int32 or int64
+    SAD_PATHS = ["narrow", "int64-tables", "int32", "int64"]
 
     @pytest.fixture(autouse=True, params=["float64", "int64", "int64-tables", "int64-ssd"])
     def int_path(self, request, monkeypatch):
@@ -115,20 +127,21 @@ class TestProjectedSsdEdges:
         expected = naive_projected_map(s, t, VectorMetric.EUCLIDEAN).scores
         np.testing.assert_allclose(smap.scores, expected, rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("int_path", ["int32", "int64"], indirect=True)
+    @pytest.mark.parametrize("int_path", SAD_PATHS, indirect=True)
     @pytest.mark.parametrize("algo", ["vec-sad", "sad"])
     @pytest.mark.parametrize("case", CASES)
     def test_sad_bit_exact(self, case, algo, rng):
         s, t = _edge_case(case, rng)
         self._check_sad(algo, s, t)
 
-    @pytest.mark.parametrize("int_path", ["int32", "int64"], indirect=True)
+    @pytest.mark.parametrize("int_path", SAD_PATHS, indirect=True)
     @pytest.mark.parametrize("algo", ["vec-sad", "sad"])
     @pytest.mark.parametrize("tile", [1, 50])
     def test_sad_spans_row_tiles(self, tile, algo, rng, monkeypatch):
-        # 15 column offsets: one row per tile, or 3 rows with a partial last tile
+        # 20 offset rows of stride 16: one row per tile, or 50 // 16 = 3 rows
+        # with a partial last tile
         monkeypatch.setattr(matchers, "_SAD_TILE", tile)
-        self._check_sad(algo, random_gray(rng, 23, 17), random_gray(rng, 4, 3))
+        self._check_sad(algo, random_gray(rng, 23, 16), random_gray(rng, 4, 3))
 
     @staticmethod
     def _check_sad(algo, s, t):
@@ -163,6 +176,48 @@ def test_sad_map_scores_at_and_past_int32():
     s = np.array([[2**30, 2**30, 2**30, 0, 2**30]])
     wide = matchers._sad_map(s, np.zeros((1, 3), dtype=np.int64))
     assert wide.tolist() == [[3 * 2**30, 2 * 2**30, 2**31]]
+
+
+def _at_peak(rng, peak, shape, dtype):
+    """(s, t) of values in {0, peak}, three offset rows and five offset
+    columns, whose window at (1, 2) is peak - t: its SAD is peak * m * n,
+    the most the template's cells can sum to."""
+    m, n = shape
+    t = rng.choice([0, peak], shape).astype(dtype)
+    s = rng.choice([0, peak], (m + 2, n + 4)).astype(dtype)
+    s[1 : 1 + m, 2 : 2 + n] = peak - t
+    return s, t
+
+
+@pytest.mark.parametrize("tile", [1, 1 << 16])
+@pytest.mark.parametrize("peak, shape, run", [
+    pytest.param(0, (2, 3), 65535, id="zeros"),
+    # uint16 partials flush every 257 cells of 255: exactly at the limit,
+    # one cell past it, and twice
+    pytest.param(255, (1, 257), 257, id="255x257"),
+    pytest.param(255, (2, 129), 257, id="255x258"),
+    pytest.param(255, (5, 103), 257, id="255x515"),
+    # the last peak with int16 differences, and the first without
+    pytest.param(32767, (3, 4), 2, id="32767"),
+    pytest.param(32768, (3, 4), 0, id="32768"),
+])
+def test_sad_map_at_width_edges(peak, shape, run, tile, rng, monkeypatch):
+    monkeypatch.setattr(matchers, "_SAD_TILE", tile)
+    assert projection.narrow_run(peak) == run
+    s, t = _at_peak(rng, peak, shape, np.uint8 if peak <= 255 else np.int32)
+    expected = naive_sad_arrays(s, t).scores
+    assert expected[1, 2] == peak * t.size
+    got = matchers._sad_map(s, t)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+def test_sad_map_reads_last_pixel(rng):
+    # the last template cell at the last offset reads the reference's last
+    # pixel, the flat reference's cell just before its n - 1 padding cells
+    s = random_gray(rng, 6, 7).pixels.copy()
+    t = random_gray(rng, 3, 4).pixels.copy()
+    s[-1, -1], t[-1, -1] = 255, 0
+    assert np.array_equal(matchers._sad_map(s, t), naive_sad_arrays(s, t).scores)
 
 
 def _vec_search(metric, matcher):
@@ -616,23 +671,27 @@ class TestIntegerCoarseSearch:
         with pytest.raises(DegenerateTemplateError):
             matchers._ncc_moment_map(t_1, t_1, 1)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_integer_sad_map_is_scaled_float_map(self, k, rng):
+    # Each SAD case on the narrow (unforced), all-int32 and all-int64 sides;
+    # with _INT32_MAX at 0, every level from 1 on is int64.
+    @pytest.mark.parametrize("k, path", [
+        pytest.param(k, path, id=f"{path}-{k}" if path else str(k))
+        for path in ("", "int32", "int64") for k in (1, 2, 3)
+    ])
+    def test_integer_sad_map_is_scaled_float_map(self, k, path, rng, monkeypatch):
+        force_int64(path, monkeypatch)
         s, t = textured_gray(rng, 96, 80), random_gray(rng, 40, 24)
         s_k, t_k = _pyramid(s, k + 1)[k], _pyramid(t, k + 1)[k]
         s_mean, t_mean = _mean_levels(s, k + 1)[k], _mean_levels(t, k + 1)[k]
-        assert s_k.dtype == t_k.dtype == np.int32
+        assert s_k.dtype == t_k.dtype == (np.int64 if path == "int64" else np.int32)
         float_map = np.abs(sliding_window_view(s_mean, t_mean.shape) - t_mean).sum(axis=(2, 3))
         assert np.array_equal(matchers._sad_map(s_k, t_k), float_map * 4**k)
 
-    # With _INT32_MAX at 0, every level from 1 on is int64.
-    @pytest.mark.parametrize("seed, int32_max", [
-        *(pytest.param(seed, None, id=str(seed)) for seed in range(4)),
-        *(pytest.param(seed, 0, id=f"int64-{seed}") for seed in range(4)),
+    @pytest.mark.parametrize("seed, path", [
+        pytest.param(seed, path, id=f"{path}-{seed}" if path else str(seed))
+        for path in ("", "int32", "int64") for seed in range(4)
     ])
-    def test_pyramid_equals_float_coarse_search(self, seed, int32_max, monkeypatch):
-        if int32_max is not None:
-            monkeypatch.setattr(projection, "_INT32_MAX", int32_max)
+    def test_pyramid_equals_float_coarse_search(self, seed, path, monkeypatch):
+        force_int64(path, monkeypatch)
         rng = np.random.default_rng(seed)
         s = textured_gray(rng, 112, 104)
         cases = []
