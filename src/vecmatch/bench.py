@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
-from .image import ColorImage, GrayImage, Rect, crop, decode_pnm, to_gray
+from .cli import _load_gray
+from .image import GrayImage, Rect, crop
 from .matchers import ALGORITHMS, algorithm_entry, run_algorithm
 
 DEFAULT_SIZES = (25, 50, 100, 150, 200)
@@ -62,13 +63,6 @@ class BenchPlan:
     color_mode: str = "luma"
 
 
-def load_reference(plan: BenchPlan) -> GrayImage:
-    img = decode_pnm(Path(plan.reference).read_bytes())
-    if isinstance(img, ColorImage):
-        img = to_gray(img, plan.color_mode)
-    return img
-
-
 def _resolve(plan: BenchPlan, image: GrayImage) -> list[tuple[int, int, int, int]]:
     """Clip sizes to the image and pair each with its crop position."""
     out = []
@@ -115,7 +109,7 @@ def run_plan(plan: BenchPlan) -> list[BenchRecord]:
         raise ValueError("repetitions must be at least 1")
     for name in plan.algorithms:
         algorithm_entry(name)
-    image = load_reference(plan)
+    image = _load_gray(plan.reference, plan.color_mode)
     ref_id = Path(plan.reference).stem
     records = []
     for h, w, top, left in _resolve(plan, image):

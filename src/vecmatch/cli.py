@@ -25,7 +25,7 @@ from .matchers import ALGORITHMS, algorithm_entry, match_dense, run_algorithm
 from .matchers import score_map_only  # noqa: F401
 
 
-def _load_gray(path: str, color_mode: str) -> GrayImage:
+def _load_gray(path: str | Path, color_mode: str) -> GrayImage:
     img = decode_pnm(Path(path).read_bytes())
     if isinstance(img, ColorImage):
         img = to_gray(img, color_mode)
@@ -33,7 +33,8 @@ def _load_gray(path: str, color_mode: str) -> GrayImage:
 
 
 def _parse_positions(text: str):
-    if text in ("centered", "edge"):
+    # text without a ':' is a keyword, which the bench plan resolves
+    if ":" not in text:
         return text
     pairs = []
     for chunk in text.split(","):
@@ -45,7 +46,7 @@ def _parse_positions(text: str):
 def _cmd_match(args) -> int:
     s = _load_gray(args.reference, args.color_mode)
     t = _load_gray(args.template, args.color_mode)
-    matcher, exact, _ = algorithm_entry(args.algo)
+    matcher, _ = algorithm_entry(args.algo)
     if not isinstance(matcher, str) and (args.levels is not None or args.radius != 2):
         print(
             f"warning: pyramid flags ignored for algorithm {args.algo}",
@@ -58,7 +59,7 @@ def _cmd_match(args) -> int:
                 f.write(",".join(repr(v) for v in row.tolist()) + "\n")
     else:
         result = run_algorithm(args.algo, s, t, levels=args.levels, radius=args.radius)
-    score = str(int(round(result.score))) if exact else f"{result.score:.6f}"
+    score = str(result.score) if isinstance(result.score, int) else f"{result.score:.6f}"
     print(f"{result.row} {result.col} {score} {result.elapsed_ms:.3f}")
     return 0
 

@@ -71,7 +71,7 @@ class ScoreOverflowError(ValueError):
 class MatchResult:
     row: int
     col: int
-    score: float
+    score: int | float  # an int exactly when the metric is exact
     metric: str
     elapsed_ns: int
 
@@ -95,26 +95,26 @@ class ScoreMap:
 
 
 # Per algorithm: its dense matcher, (s, t) -> (MatchResult, ScoreMap), or the
-# base metric of its pyramid search; whether its score is an exact integer;
-# and a matcher (s, t) -> MatchResult that run_algorithm prefers to the dense
-# one, or None. The lambdas look a matcher up in this module when called, so
-# replacing a module attribute (as tests and tracers do) reaches every caller.
+# base metric of its pyramid search; and a matcher (s, t) -> MatchResult that
+# run_algorithm prefers to the dense one, or None. The lambdas look a matcher
+# up in this module when called, so replacing a module attribute (as tests and
+# tracers do) reaches every caller.
 _TABLE = {
-    "ncc": (lambda s, t: match_full_ncc(s, t), False, None),
-    "sad": (lambda s, t: match_full_sad(s, t), True, None),
-    "nccp": ("ncc", False, None),
-    "sadp": ("sad", True, None),
-    "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD), True,
+    "ncc": (lambda s, t: match_full_ncc(s, t), None),
+    "sad": (lambda s, t: match_full_sad(s, t), None),
+    "nccp": ("ncc", None),
+    "sadp": ("sad", None),
+    "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD),
                 lambda s, t: _match_vec_ssd(s, t)),
-    "vec-sad": (lambda s, t: match_projected(s, t, VectorMetric.SAD), True,
+    "vec-sad": (lambda s, t: match_projected(s, t, VectorMetric.SAD),
                 lambda s, t: _match_vec_sad(s, t)),
-    "vec-euclid": (lambda s, t: match_projected(s, t, VectorMetric.EUCLIDEAN), False, None),
+    "vec-euclid": (lambda s, t: match_projected(s, t, VectorMetric.EUCLIDEAN), None),
 }
 ALGORITHMS = tuple(_TABLE)
 
 
-def algorithm_entry(name: str) -> tuple[Callable | str, bool, Callable | None]:
-    """(dense matcher or pyramid base, exact score, map-free matcher) of a name."""
+def algorithm_entry(name: str) -> tuple[Callable | str, Callable | None]:
+    """(dense matcher or pyramid base, map-free matcher) of a name."""
     if name not in _TABLE:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
     return _TABLE[name]
@@ -612,8 +612,9 @@ def match_pyramid(
         best, br, bc = scores[f], r0 + f // cols, c0 + f % cols
 
     elapsed = time.perf_counter_ns() - start
-    name = "sadp" if base == "sad" else "nccp"
-    return MatchResult(br, bc, float(best), name, elapsed)
+    if base == "sad":
+        return MatchResult(br, bc, int(best), "sadp", elapsed)
+    return MatchResult(br, bc, float(best), "nccp", elapsed)
 
 
 def match_dense(name: str, s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
@@ -637,7 +638,7 @@ def run_algorithm(
     radius: int = 2,
 ) -> MatchResult:
     """Run one of the seven named algorithms."""
-    matcher, _, search = algorithm_entry(name)
+    matcher, search = algorithm_entry(name)
     if isinstance(matcher, str):
         return match_pyramid(s, t, base=matcher, levels=levels, radius=radius)
     return search(s, t) if search else matcher(s, t)[0]

@@ -21,6 +21,21 @@ def textured_gray(
     return GrayImage(np.floor(smooth + 0.5).astype(np.uint8))
 
 
+def count_calls(monkeypatch, module, names) -> list[str]:
+    """Replace each named attribute of module with a wrapper that appends the
+    name to the returned list on every call."""
+    calls = []
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260824)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vecmatch import GrayImage, encode_pgm
+from vecmatch import GrayImage, cli, encode_pgm
 from vecmatch.bench import (
     BenchPlan,
     BenchRecord,
@@ -10,7 +10,7 @@ from vecmatch.bench import (
     parse_csv,
     run_plan,
 )
-from conftest import random_gray
+from conftest import count_calls, random_gray
 
 
 @pytest.fixture
@@ -108,6 +108,22 @@ def test_color_reference_converted(tmp_path, rng):
         BenchPlan(reference=path, sizes=(16,), algorithms=("sad",), repetitions=1)
     )
     assert records[0].correct
+
+
+def test_reference_read_once_by_cli_loader(reference_path, monkeypatch):
+    # perfbench traces image loading by wrapping vecmatch.cli.decode_pnm
+    calls = count_calls(monkeypatch, cli, ("decode_pnm",))
+    run_plan(BenchPlan(reference=reference_path, sizes=(8, 16), algorithms=("sad",),
+                       repetitions=2))
+    assert calls == ["decode_pnm"]
+
+
+def test_exact_score_written_as_integer(reference_path):
+    # the record's score is run_algorithm's, and its type decides the cell
+    (record,) = run_plan(BenchPlan(reference=reference_path, sizes=(24,),
+                                   algorithms=("sadp",), repetitions=1))
+    assert type(record.score) is int
+    assert emit_csv([record]).decode().splitlines()[1].split(",")[9] == "0"
 
 
 def test_monotone_cost_full_search(tmp_path, rng):

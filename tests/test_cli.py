@@ -8,11 +8,14 @@ import pytest
 
 import vecmatch
 from vecmatch import (
-    GrayImage, Rect, ScoreOverflowError, crop, decode_pnm, encode_pgm, score_map_only,
+    ALGORITHMS, ColorImage, GrayImage, Rect, ScoreOverflowError, crop, decode_pnm,
+    encode_pgm, encode_ppm, score_map_only, to_gray,
 )
-from vecmatch import matchers
+from vecmatch import cli, matchers
+from vecmatch.bench import parse_csv
 from vecmatch.cli import main
-from conftest import random_gray
+from vecmatch.image import GRAY_MODES
+from conftest import count_calls, random_gray
 
 
 # The score field `vecmatch match` prints for an exact crop: an integer for
@@ -44,18 +47,9 @@ PLAIN_MATCHER_OF = dict(MATCHER_OF, **{"vec-sad": "_match_vec_sad",
 
 
 def count_matcher_calls(monkeypatch) -> list[str]:
-    """Replace each matcher in vecmatch.matchers with a wrapper that appends
-    its name to the returned list on every call."""
-    calls = []
-    for name in sorted({*MATCHER_OF.values(), *PLAIN_MATCHER_OF.values()}):
-        original = getattr(matchers, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(matchers, name, counted)
-    return calls
+    """Count every call of a matcher in vecmatch.matchers, by name."""
+    return count_calls(monkeypatch, matchers,
+                       sorted({*MATCHER_OF.values(), *PLAIN_MATCHER_OF.values()}))
 
 
 @pytest.fixture
@@ -67,6 +61,20 @@ def images(tmp_path, rng):
     ref_path.write_bytes(encode_pgm(ref))
     tpl_path.write_bytes(encode_pgm(tpl))
     return ref_path, tpl_path
+
+
+@pytest.fixture
+def color_images(tmp_path, rng):
+    """A PPM reference and, per gray mode, a PGM template cut at (10, 20)
+    from the reference's gray conversion in that mode."""
+    ref = ColorImage(rng.integers(0, 256, (64, 80, 3), dtype=np.uint8))
+    ref_path = tmp_path / "ref.ppm"
+    ref_path.write_bytes(encode_ppm(ref))
+    templates = {}
+    for mode in GRAY_MODES:
+        templates[mode] = tmp_path / f"tpl-{mode}.pgm"
+        templates[mode].write_bytes(encode_pgm(crop(to_gray(ref, mode), Rect(10, 20, 16, 16))))
+    return ref_path, templates
 
 
 class TestMatch:
@@ -93,6 +101,22 @@ class TestMatch:
                      "--algo", algo]) == 0
         fields = capsys.readouterr().out.split()
         assert fields[:3] == ["10", "20", EXACT_CROP_SCORE[algo]]
+
+    @pytest.mark.parametrize("mode", GRAY_MODES)
+    @pytest.mark.parametrize("algo", list(EXACT_CROP_SCORE))
+    def test_color_reference_finds_crop(self, color_images, capsys, mode, algo):
+        ref, templates = color_images
+        assert main(["match", "--reference", str(ref), "--template", str(templates[mode]),
+                     "--algo", algo, "--color-mode", mode]) == 0
+        assert capsys.readouterr().out.split()[:3] == ["10", "20", EXACT_CROP_SCORE[algo]]
+
+    def test_loader_calls_traced_names(self, color_images, capsys, monkeypatch):
+        # perfbench traces image loading by wrapping these names of vecmatch.cli
+        calls = count_calls(monkeypatch, cli, ("decode_pnm", "to_gray"))
+        ref, templates = color_images
+        assert main(["match", "--reference", str(ref), "--template", str(templates["luma"]),
+                     "--algo", "vec-ssd"]) == 0
+        assert sorted(calls) == ["decode_pnm", "decode_pnm", "to_gray"]
 
     def test_constant_template_ncc_fails(self, tmp_path, rng, capsys):
         ref_path = tmp_path / "ref.pgm"
@@ -233,6 +257,26 @@ class TestBench:
                      "--out", str(tmp_path / "b.csv")])
         assert code == 1
         assert capsys.readouterr().err != ""
+
+    def test_unknown_positions_keyword(self, tmp_path, rng, capsys):
+        ref_path = tmp_path / "ref.pgm"
+        ref_path.write_bytes(encode_pgm(random_gray(rng, 32, 32)))
+        code = main(["bench", "--reference", str(ref_path), "--sizes", "8",
+                     "--positions", "center", "--reps", "1",
+                     "--out", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert "unknown positions value" in capsys.readouterr().err
+
+    def test_color_reference_same_positions(self, color_images, tmp_path, capsys):
+        # the positions `match` finds on the same PPM under channel-sum
+        ref, _ = color_images
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--reference", str(ref), "--sizes", "16",
+                     "--positions", "10:20", "--color-mode", "channel-sum",
+                     "--reps", "1", "--out", str(out)]) == 0
+        records = parse_csv(out.read_bytes())
+        assert [r.algorithm for r in records] == list(ALGORITHMS)
+        assert all((r.found_row, r.found_col) == (10, 20) for r in records)
 
 
 def _child_env() -> dict:
