@@ -46,19 +46,17 @@ def _parse_positions(text: str):
 def _cmd_match(args) -> int:
     s = _load_gray(args.reference, args.color_mode)
     t = _load_gray(args.template, args.color_mode)
-    matcher, _ = algorithm_entry(args.algo)
-    if not isinstance(matcher, str) and (args.levels is not None or args.radius != 2):
-        print(
-            f"warning: pyramid flags ignored for algorithm {args.algo}",
-            file=sys.stderr,
-        )
+    # the pyramid flags given; match_pyramid holds their defaults
+    pyramid = {k: getattr(args, k) for k in ("levels", "radius") if hasattr(args, k)}
+    if pyramid and not isinstance(algorithm_entry(args.algo)[0], str):
+        print(f"warning: pyramid flags ignored for algorithm {args.algo}", file=sys.stderr)
     if args.map:
         result, smap = match_dense(args.algo, s, t)
         with open(args.map, "w", encoding="utf-8") as f:
             for row in np.asarray(smap.scores, dtype=np.float64):
                 f.write(",".join(repr(v) for v in row.tolist()) + "\n")
     else:
-        result = run_algorithm(args.algo, s, t, levels=args.levels, radius=args.radius)
+        result = run_algorithm(args.algo, s, t, **pyramid)
     score = str(result.score) if isinstance(result.score, int) else f"{result.score:.6f}"
     print(f"{result.row} {result.col} {score} {result.elapsed_ms:.3f}")
     return 0
@@ -98,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--template", required=True)
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--levels", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--radius", type=int, default=argparse.SUPPRESS)
     p.add_argument("--color-mode", default="luma", choices=GRAY_MODES)
     p.add_argument("--map", default=None, help="write the score map as a CSV grid")
     p.set_defaults(func=_cmd_match)

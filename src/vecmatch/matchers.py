@@ -5,13 +5,17 @@ Conventions: all offsets are 0-based top-left corners; valid offsets run over
 the full inclusive ranges 0..p-m and 0..q-n. Distance metrics are minimized,
 NCC is maximized. Ties break to the row-major first occurrence.
 
+The projected matcher's one prelude, _projected, makes its checks, column
+sums and, per metric, dense map and gathered scorer; match_projected takes
+the map's first minimum, and _match_vec (vec-sad, vec-ssd) searches without it.
+
 Searches that need only the first minimum skip the map by successive
 elimination (Li & Salari, 1995) in _first_min: UB is the least exact score at
-up to _SEED_COUNT offsets of least lower bound, and the offsets whose bound
-allows a score <= UB are scored in row-major order; past _SURVIVOR_SHARE of
-all offsets, all are. vec-sad and vec-ssd bound by |W - T| (window and
-template totals), as vec-SAD >= |W - T| and vec-SSD >= (W - T)**2 / n;
-sadp's coarse SAD by vec-SAD.
+up to _SEED_COUNT offsets of least lower bound, ties taken in row-major order,
+and the offsets whose bound allows a score <= UB are scored in row-major
+order; past _SURVIVOR_SHARE of all offsets, all are. _match_vec bounds by
+|W - T| (window and template totals), as vec-SAD >= |W - T| and vec-SSD >=
+(W - T)**2 / n; sadp's coarse SAD by vec-SAD.
 vec-euclid, full sad, match_projected and match_dense (--map) stay dense.
 
 Every SAD map, full sad's, vec-sad's and sadp's coarse bound and fallback,
@@ -105,9 +109,9 @@ _TABLE = {
     "nccp": ("ncc", None),
     "sadp": ("sad", None),
     "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD),
-                lambda s, t: _match_vec_ssd(s, t)),
+                lambda s, t: _match_vec(s, t, VectorMetric.SSD)),
     "vec-sad": (lambda s, t: match_projected(s, t, VectorMetric.SAD),
-                lambda s, t: _match_vec_sad(s, t)),
+                lambda s, t: _match_vec(s, t, VectorMetric.SAD)),
     "vec-euclid": (lambda s, t: match_projected(s, t, VectorMetric.EUCLIDEAN), None),
 }
 ALGORITHMS = tuple(_TABLE)
@@ -199,12 +203,6 @@ def _argmax_valid(scores: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.nanargmax(scores)), scores.shape[1])
 
 
-def _column_sums(s: GrayImage, t: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums of the windows at every row offset, (p-m+1, q), and of t."""
-    prefix = build_column_sum_table(s)
-    return prefix[t.height :] - prefix[: -t.height], project_template(t)
-
-
 def _ssd_map(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
     """|w - v|^2 = sum(w^2) - 2 w.v + sum(v^2) for every window w of c, whose
     values are in 0..c_max, as exact integers in a float64 or int64 map.
@@ -230,33 +228,42 @@ def _ssd_map(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
     return scores
 
 
+def _projected(s: GrayImage, t: GrayImage, metric: VectorMetric):
+    """The projected matcher's prelude: checks that t fits (and _ssd_bound for
+    SSD and Euclid), then gives c, the column sums of the windows at every row
+    offset, (p-m+1, q), in 0..255*m; v, those of t; a thunk for the metric's
+    dense map of v over c; and its scorer for _gathered."""
+    _check_fits(s, t)
+    m = t.height
+    if metric is not VectorMetric.SAD:
+        _ssd_bound(m, t.width)
+    prefix = build_column_sum_table(s)
+    c, v = prefix[m:] - prefix[:-m], project_template(t)
+    if metric is VectorMetric.SAD:
+        return c, v, lambda: _sad_map(c, v[None]), _sad_scores
+    return c, v, lambda: _ssd_map(c, v, 255 * m), _ssd_scores
+
+
+_VEC_NAME = {VectorMetric.SSD: "vec-ssd", VectorMetric.SAD: "vec-sad",
+             VectorMetric.EUCLIDEAN: "vec-euclid"}
+
+
 def match_projected(
     s: GrayImage, t: GrayImage, metric: VectorMetric
 ) -> tuple[MatchResult, ScoreMap]:
     """Dimension-reduction matcher: compare 1-D column-sum vectors at every offset."""
     start = time.perf_counter_ns()
-    _check_fits(s, t)
-    m, n = t.height, t.width
-    if metric is not VectorMetric.SAD:
-        _ssd_bound(m, n)
-    col2d, nt = _column_sums(s, t)
-    if metric is VectorMetric.SAD:
-        # A 1 x n template over the column-sum image.
-        scores = _sad_map(col2d, nt[None, :])
-    else:
-        scores = _ssd_map(col2d, nt, 255 * m)
+    scores = _projected(s, t, metric)[2]()
     row, col = _argmin_first(scores)
     if metric is VectorMetric.EUCLIDEAN:
         scores = scores.astype(np.float64, copy=False)
         np.sqrt(scores, out=scores)
         best: float = float(scores[row, col])
-        name = "vec-euclid"
     else:
         scores = scores.astype(np.int64, copy=False)
         best = int(scores[row, col])
-        name = "vec-ssd" if metric is VectorMetric.SSD else "vec-sad"
     elapsed = time.perf_counter_ns() - start
-    return MatchResult(row, col, best, name, elapsed), ScoreMap(scores)
+    return MatchResult(row, col, best, _VEC_NAME[metric], elapsed), ScoreMap(scores)
 
 
 def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
@@ -378,8 +385,10 @@ def _first_min(bound: np.ndarray, keep_below: Callable, exact: Callable,
     nth = min(_SEED_COUNT, bound.size) - 1
     kth = np.partition(bound, nth)[nth]
     # the seeds: every offset whose bound is below the _SEED_COUNT-th least,
-    # and the first offset at it; no index array over all offsets
-    seeds = np.append(np.flatnonzero(bound < kth), np.argmax(bound == kth))
+    # and the first offsets at it up to _SEED_COUNT in all; index arrays
+    # over the offsets below it and those tied at it, not over all offsets
+    below = np.flatnonzero(bound < kth)
+    seeds = np.append(below, np.flatnonzero(bound == kth)[: nth + 1 - below.size])
     keep = bound <= keep_below(int(exact(seeds).min()))
     if np.count_nonzero(keep) > _SURVIVOR_SHARE * bound.size:
         keep, scores = range(bound.size), dense().ravel()
@@ -390,28 +399,17 @@ def _first_min(bound: np.ndarray, keep_below: Callable, exact: Callable,
     return *divmod(int(keep[k]), cols), int(scores[k])
 
 
-def _match_vec_sad(s: GrayImage, t: GrayImage) -> MatchResult:
-    """vec-sad's result from _first_min, without a score map."""
+def _match_vec(s: GrayImage, t: GrayImage, metric: VectorMetric) -> MatchResult:
+    """vec-sad's or vec-ssd's result from _first_min, without a score map.
+    Both are bounded by |W - T|: vec-SAD >= |W - T|, and by Cauchy-Schwarz
+    (W - T)**2 <= n * vec-SSD."""
     start = time.perf_counter_ns()
-    _check_fits(s, t)
-    c, nt = _column_sums(s, t)
-    row, col, best = _first_min(_total_gaps(c, nt, 255 * t.height), lambda ub: ub,
-                                _gathered(c, nt[None], _sad_scores), lambda: _sad_map(c, nt[None]))
-    return MatchResult(row, col, best, "vec-sad", time.perf_counter_ns() - start)
-
-
-def _match_vec_ssd(s: GrayImage, t: GrayImage) -> MatchResult:
-    """vec-ssd's result from _first_min, without a score map. By
-    Cauchy-Schwarz, (W - T)**2 <= n * vec-SSD."""
-    start = time.perf_counter_ns()
-    _check_fits(s, t)
-    _ssd_bound(t.height, t.width)
-    c, nt = _column_sums(s, t)
-    row, col, best = _first_min(_total_gaps(c, nt, 255 * t.height),
-                                lambda ub: math.isqrt(t.width * ub),
-                                _gathered(c, nt[None], _ssd_scores),
-                                lambda: _ssd_map(c, nt, 255 * t.height))
-    return MatchResult(row, col, best, "vec-ssd", time.perf_counter_ns() - start)
+    c, v, dense, score = _projected(s, t, metric)
+    keep_below = ((lambda ub: ub) if metric is VectorMetric.SAD
+                  else lambda ub: math.isqrt(t.width * ub))
+    row, col, best = _first_min(_total_gaps(c, v, 255 * t.height), keep_below,
+                                _gathered(c, v[None], score), dense)
+    return MatchResult(row, col, best, _VEC_NAME[metric], time.perf_counter_ns() - start)
 
 
 def match_full_sad(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:

@@ -77,6 +77,18 @@ def test_explicit_positions(reference_path):
     assert all(r.correct for r in records)
 
 
+def test_position_count_must_match_sizes(reference_path):
+    plan = BenchPlan(reference=reference_path, sizes=(8, 16), positions=[(3, 5)],
+                     algorithms=("sad",), repetitions=1)
+    with pytest.raises(ValueError, match="1 positions given for 2 template sizes"):
+        run_plan(plan)
+
+
+def test_zero_repetitions(reference_path):
+    with pytest.raises(ValueError, match="repetitions"):
+        run_plan(BenchPlan(reference=reference_path, repetitions=0))
+
+
 def test_sizes_clipped_to_image(reference_path):
     plan = BenchPlan(
         reference=reference_path, sizes=(500,), algorithms=("vec-sad",), repetitions=1
@@ -162,6 +174,12 @@ class TestCsv:
     def test_round_trip_quoting(self):
         record = BenchRecord('we,"ird', "sad", 8, 8, 0, 0, 0, 0, False, 1.5, 99, 1, 4096)
         assert parse_csv(emit_csv([record])) == [record]
+
+    @pytest.mark.parametrize("data", [b"", b"reference_id,algorithm\n",
+                                      ",".join(reversed(CSV_HEADER)).encode()])
+    def test_bad_header(self, data):
+        with pytest.raises(ValueError, match="header"):
+            parse_csv(data)
 
     def test_header_fields(self):
         header = emit_csv([]).decode().strip()

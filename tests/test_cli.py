@@ -42,8 +42,7 @@ MATCHER_OF = {
 }
 # Without --map, vec-sad and vec-ssd find their best offset without the
 # dense score map.
-PLAIN_MATCHER_OF = dict(MATCHER_OF, **{"vec-sad": "_match_vec_sad",
-                                       "vec-ssd": "_match_vec_ssd"})
+PLAIN_MATCHER_OF = dict(MATCHER_OF, **{"vec-sad": "_match_vec", "vec-ssd": "_match_vec"})
 
 
 def count_matcher_calls(monkeypatch) -> list[str]:
@@ -204,9 +203,16 @@ class TestMatch:
 
     def test_pyramid_flag_warning(self, images, capsys):
         ref, tpl = images
-        assert main(["match", "--reference", str(ref), "--template", str(tpl),
-                     "--algo", "sad", "--levels", "3"]) == 0
-        assert "ignored" in capsys.readouterr().err
+        for algo, flags, warns in [
+            ("sad", ["--levels", "3"], True),
+            # a given flag warns even at match_pyramid's default
+            ("vec-ssd", ["--radius", "2"], True),
+            ("sad", [], False),
+            ("sadp", ["--levels", "2", "--radius", "1"], False),
+        ]:
+            assert main(["match", "--reference", str(ref), "--template", str(tpl),
+                         "--algo", algo, *flags]) == 0
+            assert ("ignored" in capsys.readouterr().err) == warns, (algo, flags)
 
 
 class TestCrop:

@@ -169,6 +169,37 @@ class TestPixelValues:
         assert not img.pixels.flags.writeable
 
 
+class TestShape:
+    @pytest.mark.parametrize("pixels", [np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 0))])
+    def test_empty_gray_rejected(self, pixels):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            GrayImage(pixels)
+
+    @pytest.mark.parametrize("pixels", [[1, 2, 3], [[[1, 2, 3]]], 7])
+    def test_gray_needs_2d(self, pixels):
+        with pytest.raises(ValueError, match="2-D"):
+            GrayImage(pixels)
+
+    @pytest.mark.parametrize("pixels", [[[1, 2, 3]], [[[1, 2]]], [[[[1, 2, 3]]]]])
+    def test_color_needs_three_channels(self, pixels):
+        with pytest.raises(ValueError, match=r"\(H, W, 3\)"):
+            ColorImage(pixels)
+
+    def test_empty_color_rejected(self):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            ColorImage(np.zeros((0, 2, 3)))
+
+    def test_eq_with_other_types(self):
+        gray = GrayImage([[1, 2]])
+        assert gray != [[1, 2]]
+        assert gray != ColorImage([[[1, 1, 1], [2, 2, 2]]])
+        assert gray.__eq__("image") is NotImplemented
+
+    def test_repr(self):
+        assert repr(GrayImage(np.zeros((2, 3)))) == "GrayImage(2x3)"
+        assert repr(ColorImage(np.zeros((4, 1, 3)))) == "ColorImage(4x1)"
+
+
 class TestToGray:
     def test_white_luma(self):
         img = to_gray(ColorImage([[[255, 255, 255]]]), "luma")
@@ -214,6 +245,11 @@ class TestCrop:
     def test_zero_extent_rejected(self):
         with pytest.raises(BoundsError):
             Rect(top=0, left=0, height=0, width=1)
+
+    @pytest.mark.parametrize("top, left", [(-1, 0), (0, -1)])
+    def test_negative_corner_rejected(self, top, left):
+        with pytest.raises(BoundsError, match="non-negative"):
+            Rect(top=top, left=left, height=1, width=1)
 
     @given(
         gray_arrays,

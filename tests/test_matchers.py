@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from vecmatch import (
     DegenerateTemplateError,
     GrayImage,
+    NoCandidateError,
     PyramidDepthError,
     Rect,
     ScoreOverflowError,
@@ -20,6 +21,7 @@ from vecmatch import (
     match_full_sad,
     match_projected,
     match_pyramid,
+    run_algorithm,
     score_map_only,
 )
 from vecmatch import matchers, projection
@@ -220,9 +222,9 @@ def test_sad_map_reads_last_pixel(rng):
     assert np.array_equal(matchers._sad_map(s, t), naive_sad_arrays(s, t).scores)
 
 
-def _vec_search(metric, matcher):
+def _vec_search(metric):
     def search(s, t):
-        result = getattr(matchers, matcher)(s, t)
+        result = matchers._match_vec(s, t, metric)
         assert type(result.score) is int
         scores = naive_projected_map(s, t, metric).scores
         return (result.row, result.col, result.score), scores
@@ -242,8 +244,8 @@ def _coarse_sad_search(levels):
 # Each caller of matchers._first_min, as search(s, t) -> (its (row, col,
 # score), the dense map whose first minimum it must find).
 FIRST_MIN_SEARCHES = {
-    "vec-sad": _vec_search(VectorMetric.SAD, "_match_vec_sad"),
-    "vec-ssd": _vec_search(VectorMetric.SSD, "_match_vec_ssd"),
+    "vec-sad": _vec_search(VectorMetric.SAD),
+    "vec-ssd": _vec_search(VectorMetric.SSD),
     **{f"sadp-levels-{d}": _coarse_sad_search(d) for d in (1, 2, 3)},
 }
 
@@ -307,7 +309,8 @@ class TestSadFirstMin:
         # _SEED_COUNT-th least bound |W - T|
         s = GrayImage(np.full((16, 20), 7, dtype=np.uint8))
         t = random_gray(rng, 3, 4)
-        bound = matchers._total_gaps(*matchers._column_sums(s, t), 255 * 3)
+        c, v = matchers._projected(s, t, VectorMetric.SAD)[:2]
+        bound = matchers._total_gaps(c, v, 255 * 3)
         assert bound.size > matchers._SEED_COUNT and (bound == bound[0, 0]).all()
         for row, col, _ in self._check(s, t).values():
             assert (row, col) == (0, 0)
@@ -317,6 +320,20 @@ class TestSadFirstMin:
         arr[8:10] = 3
         found = self._check(GrayImage(arr), GrayImage(np.full((3, 4), 3, dtype=np.uint8)))
         assert found["vec-sad"] == (7, 0, 16) and found["vec-ssd"] == (7, 0, 64)
+
+    def test_tied_seeds_fill_seed_count(self):
+        # every offset ties at the least bound: the seeds are the first
+        # _SEED_COUNT offsets, not the first alone
+        scored = []
+
+        def exact(flat):
+            scored.append(flat.tolist())
+            return flat
+
+        bound = np.zeros((10, 10), dtype=np.int64)
+        found = matchers._first_min(bound, lambda ub: ub, exact, lambda: bound)
+        assert scored[0] == list(range(matchers._SEED_COUNT))
+        assert found == (0, 0, 0)
 
     def test_periodic_reference_gives_first_match(self, rng):
         # period 3 x 4: the crop at (7, 9) matches exactly at every (1 + 3i, 1 + 4j)
@@ -421,6 +438,13 @@ class TestMatchFullNcc:
         s = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
         with pytest.raises(DegenerateTemplateError):
             match_full_ncc(s, GrayImage(np.full((2, 2), 7, dtype=np.uint8)))
+
+    @pytest.mark.parametrize("algo", ["ncc", "nccp"])
+    def test_constant_reference_has_no_candidate(self, algo, rng):
+        # a varied template, but every window of a constant reference is flat
+        s = GrayImage(np.full((40, 40), 90, dtype=np.uint8))
+        with pytest.raises(NoCandidateError):
+            run_algorithm(algo, s, random_gray(rng, 16, 16))
 
     def test_degenerate_windows_excluded(self, rng):
         s_arr = np.zeros((6, 6), dtype=np.uint8)
@@ -550,6 +574,10 @@ class TestMatchPyramid:
     def test_unknown_base(self):
         with pytest.raises(ValueError):
             match_pyramid(S3, T2, base="ssd")
+
+    def test_negative_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            match_pyramid(S3, T2, radius=-1)
 
     @pytest.mark.parametrize("base", ["sad", "ncc"])
     def test_refines_past_last_offset(self, base, rng):
