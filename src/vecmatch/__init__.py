@@ -25,7 +25,6 @@ from .matchers import (
     DegenerateTemplateError,
     MatchResult,
     NoCandidateError,
-    PyramidDepthError,
     ScoreMap,
     ScoreOverflowError,
     TemplateSizeError,
@@ -53,7 +52,6 @@ __all__ = [
     "NoCandidateError",
     "PixelValueError",
     "PnmError",
-    "PyramidDepthError",
     "Rect",
     "SampleRangeError",
     "ScoreMap",

@@ -43,7 +43,15 @@ CSV_HEADER = tuple(f.name for f in fields(BenchRecord))
 _CELL_TYPES = tuple(get_type_hints(BenchRecord)[name] for name in CSV_HEADER)
 _WRITE = {bool: lambda v: "true" if v else "false",
           float: lambda v: repr(float(v)) if isinstance(v, float) else v}
-_READ = {bool: lambda x: x == "true",
+
+
+def _read_bool(x: str) -> bool:
+    if x not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {x!r}")
+    return x == "true"
+
+
+_READ = {bool: _read_bool,
          float: lambda x: float(x) if "." in x or "e" in x else int(x)}
 
 
@@ -150,9 +158,17 @@ def emit_csv(records: Sequence[BenchRecord]) -> bytes:
 
 
 def parse_csv(data: bytes) -> list[BenchRecord]:
-    """Inverse of emit_csv; round-trips every record field-for-field."""
-    rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    """Inverse of emit_csv; round-trips every record field-for-field. Bytes
+    that are not UTF-8 CSV, a row of the wrong length, or a cell its field's
+    type cannot read raise ValueError."""
+    try:
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from exc
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("missing or unexpected CSV header")
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"row {i} has {len(row)} cells, expected {len(CSV_HEADER)}")
     return [BenchRecord(*(_READ.get(kind, kind)(x) for kind, x in zip(_CELL_TYPES, row)))
             for row in rows[1:]]

@@ -17,9 +17,10 @@ from .image import (
     crop,
     decode_pnm,
     encode_pgm,
+    encode_ppm,
     to_gray,
 )
-from .matchers import ALGORITHMS, algorithm_entry, match_dense, run_algorithm
+from .matchers import ALGORITHMS, match_dense, run_algorithm
 # score_map_only is unused here but stays importable from this module: the
 # benchmark in perfbench/ traces the CLI by wrapping these names.
 from .matchers import score_map_only  # noqa: F401
@@ -46,26 +47,25 @@ def _parse_positions(text: str):
 def _cmd_match(args) -> int:
     s = _load_gray(args.reference, args.color_mode)
     t = _load_gray(args.template, args.color_mode)
-    # the pyramid flags given; match_pyramid holds their defaults
-    pyramid = {k: getattr(args, k) for k in ("levels", "radius") if hasattr(args, k)}
-    if pyramid and not isinstance(algorithm_entry(args.algo)[0], str):
-        print(f"warning: pyramid flags ignored for algorithm {args.algo}", file=sys.stderr)
     if args.map:
         result, smap = match_dense(args.algo, s, t)
         with open(args.map, "w", encoding="utf-8") as f:
             for row in np.asarray(smap.scores, dtype=np.float64):
                 f.write(",".join(repr(v) for v in row.tolist()) + "\n")
     else:
-        result = run_algorithm(args.algo, s, t, **pyramid)
+        result = run_algorithm(args.algo, s, t)
     score = str(result.score) if isinstance(result.score, int) else f"{result.score:.6f}"
     print(f"{result.row} {result.col} {score} {result.elapsed_ms:.3f}")
     return 0
 
 
 def _cmd_crop(args) -> int:
-    img = _load_gray(args.input, "luma")
+    # the crop keeps the input's format, so a PPM crop stays exact under
+    # either gray mode of `match`, whose conversion works pixel by pixel
+    img = decode_pnm(Path(args.input).read_bytes())
     rect = Rect(top=args.top, left=args.left, height=args.height, width=args.width)
-    Path(args.output).write_bytes(encode_pgm(crop(img, rect)))
+    encode = encode_ppm if isinstance(img, ColorImage) else encode_pgm
+    Path(args.output).write_bytes(encode(crop(img, rect)))
     return 0
 
 
@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--template", required=True)
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p.add_argument("--levels", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--radius", type=int, default=argparse.SUPPRESS)
     p.add_argument("--color-mode", default="luma", choices=GRAY_MODES)
     p.add_argument("--map", default=None, help="write the score map as a CSV grid")
     p.set_defaults(func=_cmd_match)

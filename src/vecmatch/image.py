@@ -213,12 +213,12 @@ def to_gray(image: ColorImage, mode: str = "luma") -> GrayImage:
     return GrayImage(g.astype(np.uint8))
 
 
-def crop(image: GrayImage, rect: Rect) -> GrayImage:
-    """Extract the sub-image covered by rect."""
+def crop(image: GrayImage | ColorImage, rect: Rect) -> GrayImage | ColorImage:
+    """Extract the sub-image covered by rect, of the image's own type."""
     if rect.top + rect.height > image.height or rect.left + rect.width > image.width:
         raise BoundsError(
             f"rect {rect} exceeds image bounds {image.height}x{image.width}"
         )
-    return GrayImage(
+    return type(image)(
         image.pixels[rect.top : rect.top + rect.height, rect.left : rect.left + rect.width]
     )

@@ -63,10 +63,6 @@ class NoCandidateError(ValueError):
     """Every candidate window is degenerate; no NCC maximum exists."""
 
 
-class PyramidDepthError(ValueError):
-    """Requested level count would shrink a dimension below one pixel."""
-
-
 class ScoreOverflowError(ValueError):
     """The largest integer a score needs for the template shape exceeds int64."""
 
@@ -98,16 +94,16 @@ class ScoreMap:
         self.valid = valid
 
 
-# Per algorithm: its dense matcher, (s, t) -> (MatchResult, ScoreMap), or the
-# base metric of its pyramid search; and a matcher (s, t) -> MatchResult that
-# run_algorithm prefers to the dense one, or None. The lambdas look a matcher
-# up in this module when called, so replacing a module attribute (as tests and
-# tracers do) reaches every caller.
+# Per algorithm: its dense matcher, (s, t) -> (MatchResult, ScoreMap), or
+# None; and a matcher (s, t) -> MatchResult that run_algorithm prefers to the
+# dense one, or None. The lambdas look a matcher up in this module when
+# called, so replacing a module attribute (as tests and tracers do) reaches
+# every caller.
 _TABLE = {
     "ncc": (lambda s, t: match_full_ncc(s, t), None),
     "sad": (lambda s, t: match_full_sad(s, t), None),
-    "nccp": ("ncc", None),
-    "sadp": ("sad", None),
+    "nccp": (None, lambda s, t: match_pyramid(s, t, "ncc")),
+    "sadp": (None, lambda s, t: match_pyramid(s, t, "sad")),
     "vec-ssd": (lambda s, t: match_projected(s, t, VectorMetric.SSD),
                 lambda s, t: _match_vec(s, t, VectorMetric.SSD)),
     "vec-sad": (lambda s, t: match_projected(s, t, VectorMetric.SAD),
@@ -117,8 +113,8 @@ _TABLE = {
 ALGORITHMS = tuple(_TABLE)
 
 
-def algorithm_entry(name: str) -> tuple[Callable | str, Callable | None]:
-    """(dense matcher or pyramid base, map-free matcher) of a name."""
+def algorithm_entry(name: str) -> tuple[Callable | None, Callable | None]:
+    """(dense matcher, map-free matcher) of a name, either one None."""
     if name not in _TABLE:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
     return _TABLE[name]
@@ -141,6 +137,8 @@ _DOT_BLOCK = 64
 _SAD_TILE = 1 << 16
 _SEED_COUNT = 64
 _SURVIVOR_SHARE = 1 / 8
+# Chebyshev radius of each pyramid refinement around the doubled best offset.
+_RADIUS = 2
 
 
 def _fits_int64(worst: int, what: str) -> int:
@@ -522,15 +520,14 @@ def _pyramid_levels(pixels: np.ndarray, count: int) -> list[np.ndarray]:
     for k in range(1, count):
         prev = levels[-1]
         h2, w2 = prev.shape[0] // 2, prev.shape[1] // 2
-        if h2 < 1 or w2 < 1:
-            raise PyramidDepthError(f"cannot halve {prev.shape[0]}x{prev.shape[1]} further")
         a = prev[: 2 * h2, : 2 * w2].astype(sum_dtype(255 * 4**k), copy=False)
         levels.append(a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2])
     return levels
 
 
 def auto_pyramid_levels(t: GrayImage) -> int:
-    """Level count keeping the coarsest template side at least 8 pixels."""
+    """Level count keeping the coarsest template side at least 8 pixels. The
+    reference is at least as large as the template, so it halves as often."""
     side = min(t.height, t.width)
     if side < 16:
         return 1
@@ -554,37 +551,24 @@ def _coarse_search(
     return br, bc, float(coarse[br, bc])
 
 
-def match_pyramid(
-    s: GrayImage,
-    t: GrayImage,
-    base: str = "sad",
-    levels: int | None = None,
-    radius: int = 2,
-) -> MatchResult:
-    """Coarse-to-fine search on the sum pyramid: full search at the coarsest
-    level, then refine within a Chebyshev neighborhood of the doubled best
-    position per level.
-
-    With automatic depth (levels=None), NCC starts from the deepest level at
-    which the template still varies; an explicit depth whose coarsest
-    template is flat raises DegenerateTemplateError."""
+def match_pyramid(s: GrayImage, t: GrayImage, base: str = "sad") -> MatchResult:
+    """Coarse-to-fine search on the sum pyramid, auto_pyramid_levels(t)
+    deep: full search at the coarsest level, then refine within _RADIUS
+    (Chebyshev) of the doubled best position per level. NCC starts from the
+    deepest level at which the template still varies."""
     start = time.perf_counter_ns()
     _check_fits(s, t)
     if base not in ("sad", "ncc"):
         raise ValueError(f"unknown base metric {base!r}; expected 'sad' or 'ncc'")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
     if base == "ncc":
         _moment_bound(0, t.pixels.size)  # no level needs larger moments
         _ncc_template(t.pixels)
-    depth = auto_pyramid_levels(t) if levels is None else levels
-    if depth < 1:
-        raise PyramidDepthError("level count must be at least 1")
+    depth = auto_pyramid_levels(t)
     s_levels = _pyramid_levels(s.pixels, depth)
     t_levels = _pyramid_levels(t.pixels, depth)
 
     k = depth - 1
-    if base == "ncc" and levels is None:
+    if base == "ncc":
         # 2x2 sums can flatten a template, as they turn a checkerboard into
         # one gray; search from the deepest level where it still varies.
         while k > 0 and _flat(_template_moments(t_levels[k])[2], t_levels[k].size):
@@ -599,9 +583,9 @@ def match_pyramid(
         sk, tk = s_levels[k], t_levels[k]
         m, n = tk.shape
         cr, cc = 2 * br, 2 * bc
-        r1, c1 = min(sk.shape[0] - m, cr + radius), min(sk.shape[1] - n, cc + radius)
+        r1, c1 = min(sk.shape[0] - m, cr + _RADIUS), min(sk.shape[1] - n, cc + _RADIUS)
         # the doubled position can pass the last offset by one; keep that offset
-        r0, c0 = min(r1, max(0, cr - radius)), min(c1, max(0, cc - radius))
+        r0, c0 = min(r1, max(0, cr - _RADIUS)), min(c1, max(0, cc - _RADIUS))
         cols = c1 - c0 + 1
         score = _sad_scores if base == "sad" else _ncc_scorer(tk)
         exact = _gathered(sk[r0 : r1 + m, c0 : c1 + n], tk, score)
@@ -618,7 +602,7 @@ def match_pyramid(
 def match_dense(name: str, s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     """Result and score map of a dense (full-search) algorithm, from one pass."""
     matcher = algorithm_entry(name)[0]
-    if isinstance(matcher, str):
+    if matcher is None:
         raise ValueError(f"no dense score map for algorithm {name!r}")
     return matcher(s, t)
 
@@ -628,15 +612,7 @@ def score_map_only(s: GrayImage, t: GrayImage, algorithm: str) -> ScoreMap:
     return match_dense(algorithm, s, t)[1]
 
 
-def run_algorithm(
-    name: str,
-    s: GrayImage,
-    t: GrayImage,
-    levels: int | None = None,
-    radius: int = 2,
-) -> MatchResult:
+def run_algorithm(name: str, s: GrayImage, t: GrayImage) -> MatchResult:
     """Run one of the seven named algorithms."""
     matcher, search = algorithm_entry(name)
-    if isinstance(matcher, str):
-        return match_pyramid(s, t, base=matcher, levels=levels, radius=radius)
     return search(s, t) if search else matcher(s, t)[0]

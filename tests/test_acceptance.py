@@ -165,7 +165,7 @@ def test_criterion_6_pyramid_speedup_and_position(reference):
     sad = _median_elapsed("sad", reference, t_center, 3)
     assert sadp < sad, (sadp, sad)
     t_corner = crop(reference, Rect(0, 0, size, size))
-    result = run_algorithm("sadp", reference, t_corner, radius=2)
+    result = run_algorithm("sadp", reference, t_corner)
     assert (result.row, result.col) == (0, 0)
     report(6, "sadp faster than sad on a centered 100^2 crop and still exact "
               "at the (0,0) corner with radius 2")

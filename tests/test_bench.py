@@ -181,6 +181,20 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             parse_csv(data)
 
+    @pytest.mark.parametrize("data", [
+        b"a\rb,c\n",  # a bare carriage return, which the csv module rejects
+        ",".join(CSV_HEADER).encode() + b"\nref,sad,8\n",
+        ",".join(CSV_HEADER).encode() + b"\n" + b",".join([b"1"] * 14) + b"\n",
+        emit_csv([BenchRecord("ref", "sad", 8, 8, 1, 2, 1, 2, True, 0, 1234, 3, 4096)])
+        .replace(b",true,", b",yes,"),
+    ])
+    def test_malformed_rows(self, data):
+        # every malformed input is a ValueError: a row of too few cells is
+        # not a TypeError, nor is one of too many truncated, nor a bool
+        # other than true or false read as false
+        with pytest.raises(ValueError):
+            parse_csv(data)
+
     def test_header_fields(self):
         header = emit_csv([]).decode().strip()
         assert header == (

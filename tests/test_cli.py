@@ -201,18 +201,13 @@ class TestMatch:
                      "--algo", "vec-ssd"]) == 1
         assert "int64" in capsys.readouterr().err
 
-    def test_pyramid_flag_warning(self, images, capsys):
+    def test_no_pyramid_flags(self, images, capsys):
+        # the pyramid's depth and radius are not options
         ref, tpl = images
-        for algo, flags, warns in [
-            ("sad", ["--levels", "3"], True),
-            # a given flag warns even at match_pyramid's default
-            ("vec-ssd", ["--radius", "2"], True),
-            ("sad", [], False),
-            ("sadp", ["--levels", "2", "--radius", "1"], False),
-        ]:
+        for flag in (["--levels", "2"], ["--radius", "1"]):
             assert main(["match", "--reference", str(ref), "--template", str(tpl),
-                         "--algo", algo, *flags]) == 0
-            assert ("ignored" in capsys.readouterr().err) == warns, (algo, flags)
+                         "--algo", "sadp", *flag]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCrop:
@@ -225,6 +220,21 @@ class TestCrop:
         assert main(["match", "--reference", str(ref_path), "--template", str(out_path),
                      "--algo", "vec-ssd"]) == 0
         assert capsys.readouterr().out.split()[:2] == ["7", "11"]
+
+    @pytest.mark.parametrize("mode", GRAY_MODES)
+    @pytest.mark.parametrize("algo", ["sad", "vec-ssd", "ncc"])
+    def test_color_crop_then_match(self, color_images, tmp_path, capsys, mode, algo):
+        # a PPM crop stays a PPM, so `match` converts it as it converts the
+        # reference, and the crop is exact under either gray mode
+        ref, _ = color_images
+        out_path = tmp_path / "out.ppm"
+        assert main(["crop", "--input", str(ref), "--top", "30", "--left", "41",
+                     "--height", "16", "--width", "16", "--output", str(out_path)]) == 0
+        expected = crop(decode_pnm(ref.read_bytes()), Rect(30, 41, 16, 16))
+        assert decode_pnm(out_path.read_bytes()) == expected
+        assert main(["match", "--reference", str(ref), "--template", str(out_path),
+                     "--algo", algo, "--color-mode", mode]) == 0
+        assert capsys.readouterr().out.split()[:3] == ["30", "41", EXACT_CROP_SCORE[algo]]
 
     def test_full_extent_round_trip(self, tmp_path, rng):
         ref_path = tmp_path / "ref.pgm"

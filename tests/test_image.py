@@ -21,6 +21,7 @@ from vecmatch import (
     encode_ppm,
     to_gray,
 )
+from vecmatch.image import GRAY_MODES
 
 gray_arrays = hnp.arrays(
     np.uint8,
@@ -232,6 +233,16 @@ class TestCrop:
         img = GrayImage([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         out = crop(img, Rect(top=1, left=1, height=2, width=2))
         assert out.pixels.tolist() == [[5, 6], [8, 9]]
+
+    def test_color_crop(self, rng):
+        # a ColorImage crops to a ColorImage, and gray conversion commutes
+        # with cropping, as it works pixel by pixel
+        img = ColorImage(rng.integers(0, 256, (6, 7, 3), dtype=np.uint8))
+        rect = Rect(top=2, left=3, height=3, width=4)
+        out = crop(img, rect)
+        assert out == ColorImage(img.pixels[2:5, 3:7])
+        for mode in GRAY_MODES:
+            assert to_gray(out, mode) == crop(to_gray(img, mode), rect)
 
     def test_identity_crop(self, rng):
         img = GrayImage(rng.integers(0, 256, (5, 7), dtype=np.uint8))

@@ -8,10 +8,10 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from vecmatch import (
+    ALGORITHMS,
     DegenerateTemplateError,
     GrayImage,
     NoCandidateError,
-    PyramidDepthError,
     Rect,
     ScoreOverflowError,
     TemplateSizeError,
@@ -29,6 +29,7 @@ from vecmatch.bench import peak_bytes
 from vecmatch.matchers import _moment_bound, _ssd_bound
 from vecmatch.oracle import (
     naive_ncc_arrays,
+    naive_ncc_map,
     naive_projected_map,
     naive_sad_arrays,
     naive_sad_map,
@@ -533,9 +534,15 @@ class TestBuildPyramid:
         assert [x.dtype for x in levels] == [np.int32, np.int32, np.int64, np.int64]
         assert [int(x[0, 0]) for x in levels] == [255, 255 * 4, 255 * 16, 255 * 64]
 
-    def test_too_many_levels(self):
-        with pytest.raises(PyramidDepthError, match="cannot halve 1x1 further"):
-            _pyramid(GrayImage([[1, 2], [3, 4]]), 3)
+
+_AUTO_DEPTH = matchers.auto_pyramid_levels
+
+
+def _set_depth(monkeypatch, depth):
+    """Make match_pyramid search `depth` levels deep, or as deep as it
+    chooses itself when depth is None."""
+    monkeypatch.setattr(matchers, "auto_pyramid_levels",
+                        _AUTO_DEPTH if depth is None else lambda t: depth)
 
 
 class TestMatchPyramid:
@@ -543,31 +550,32 @@ class TestMatchPyramid:
         s = random_gray(rng, 64, 64)
         t = crop(s, Rect(24, 24, 16, 16))
         full, _ = match_full_sad(s, t)
-        pyr = match_pyramid(s, t, base="sad", radius=2)
+        pyr = match_pyramid(s, t, base="sad")
         assert (pyr.row, pyr.col, pyr.score) == (full.row, full.col, full.score) == (24, 24, 0)
 
-    def test_single_level_equals_base(self, rng):
+    def test_single_level_equals_base(self, rng, monkeypatch):
         s = random_gray(rng, 32, 32)
         t = random_gray(rng, 7, 9)
+        _set_depth(monkeypatch, 1)
         full, _ = match_full_sad(s, t)
-        pyr = match_pyramid(s, t, base="sad", levels=1)
+        pyr = match_pyramid(s, t, base="sad")
         assert (pyr.row, pyr.col, pyr.score) == (full.row, full.col, full.score)
         full_ncc, _ = match_full_ncc(s, t)
-        pyr_ncc = match_pyramid(s, t, base="ncc", levels=1)
+        pyr_ncc = match_pyramid(s, t, base="ncc")
         assert (pyr_ncc.row, pyr_ncc.col) == (full_ncc.row, full_ncc.col)
         _assert_exact_ncc(pyr_ncc.score, s, t, pyr_ncc.row, pyr_ncc.col)
 
     def test_corner_crop(self, rng):
         s = random_gray(rng, 64, 64)
         t = crop(s, Rect(0, 0, 16, 16))
-        pyr = match_pyramid(s, t, base="sad", radius=2)
+        pyr = match_pyramid(s, t, base="sad")
         assert (pyr.row, pyr.col, pyr.score) == (0, 0, 0)
 
     def test_ncc_pyramid_crop(self, rng):
         # odd offsets misalign coarse levels; needs spatially correlated texture
         s = textured_gray(rng, 64, 64)
         t = crop(s, Rect(11, 37, 16, 16))
-        pyr = match_pyramid(s, t, base="ncc", radius=2)
+        pyr = match_pyramid(s, t, base="ncc")
         assert (pyr.row, pyr.col) == (11, 37)
         assert pyr.score == pytest.approx(1.0, abs=1e-9)
 
@@ -575,12 +583,8 @@ class TestMatchPyramid:
         with pytest.raises(ValueError):
             match_pyramid(S3, T2, base="ssd")
 
-    def test_negative_radius(self):
-        with pytest.raises(ValueError, match="radius"):
-            match_pyramid(S3, T2, radius=-1)
-
     @pytest.mark.parametrize("base", ["sad", "ncc"])
-    def test_refines_past_last_offset(self, base, rng):
+    def test_refines_past_last_offset(self, base, rng, monkeypatch):
         # the 17 x 17 crop at the last offset (23, 23) of a 40 x 40 reference:
         # level 1 finds column 12, whose double passes the last column 23;
         # with radius 0 the one candidate of that level is that last column
@@ -588,7 +592,9 @@ class TestMatchPyramid:
         t = crop(s, Rect(23, 23, 17, 17))
         coarse = matchers._coarse_search(*(_pyramid(x, 2)[1] for x in (s, t)), base, 1)
         assert coarse[1] == 12
-        pyr = match_pyramid(s, t, base=base, levels=2, radius=0)
+        _set_depth(monkeypatch, 2)
+        monkeypatch.setattr(matchers, "_RADIUS", 0)
+        pyr = match_pyramid(s, t, base=base)
         assert (pyr.row, pyr.col) == (2 * coarse[0], 23)
         if base == "sad":
             assert pyr.score == match_full_sad(s, t)[1].scores[pyr.row, pyr.col]
@@ -610,13 +616,6 @@ class TestMatchPyramid:
         pyr = match_pyramid(s, t, base="ncc")
         assert (pyr.row, pyr.col) == (top, left) == (16, 50)
         _assert_exact_ncc(pyr.score, s, t, pyr.row, pyr.col)
-
-    # levels=3 halves the 2x2 template to 1x1 and then below one pixel.
-    @pytest.mark.parametrize("levels", [0, 3])
-    @pytest.mark.parametrize("base", ["sad", "ncc"])
-    def test_depth_error(self, base, levels):
-        with pytest.raises(PyramidDepthError):
-            match_pyramid(S3, T2, base=base, levels=levels)
 
 
 def _mean_coarse_search(s_level, t_level, base, k):
@@ -742,7 +741,8 @@ class TestIntegerCoarseSearch:
         t = crop(periodic, Rect(31 + seed, 44 - seed, 20, 23))
         cases += [(periodic, t, 2, "sad"), (periodic, t, 3, "sad")]
         for s, t, depth, base in cases:
-            r = match_pyramid(s, t, base, levels=depth)
+            _set_depth(monkeypatch, depth)
+            r = match_pyramid(s, t, base)
             assert type(r.score) is (int if base == "sad" else float)
             row, col, score = _mean_pyramid_search(s, t, base, depth)
             assert (r.row, r.col) == (row, col)
@@ -778,8 +778,6 @@ class TestIntegerCoarseSearch:
         assert result.score == pytest.approx(1.0, abs=1e-9)
         full, _ = match_full_ncc(s, t)
         assert (full.row, full.col) == (30, 40)
-        with pytest.raises(DegenerateTemplateError):
-            match_pyramid(s, t, base="ncc", levels=level + 2)
 
 
 class TestMomentRangeGuard:
@@ -798,8 +796,9 @@ class TestMomentRangeGuard:
         # at every level of this template
         worst = (255 * 32 * 32) ** 2
         monkeypatch.setattr(matchers, "_INT64_MAX", worst)
-        for levels in (None, 2):
-            assert match_pyramid(s, t, base="ncc", levels=levels).score == pytest.approx(1.0)
+        for depth in (None, 2):
+            _set_depth(monkeypatch, depth)
+            assert match_pyramid(s, t, base="ncc").score == pytest.approx(1.0)
         assert match_full_ncc(s, t)[0].score == pytest.approx(1.0)
         monkeypatch.setattr(matchers, "_INT64_MAX", worst - 1)
 
@@ -807,13 +806,14 @@ class TestMomentRangeGuard:
             raise AssertionError("scoring started before the range check")
 
         monkeypatch.setattr(matchers, "_ncc_ratio", unreachable)
-        for levels in (None, 1, 2):
+        for depth in (None, 1, 2):
+            _set_depth(monkeypatch, depth)
             with pytest.raises(ScoreOverflowError):
-                match_pyramid(s, t, base="ncc", levels=levels)
+                match_pyramid(s, t, base="ncc")
         with pytest.raises(ScoreOverflowError):
             match_full_ncc(s, t)
         # SAD needs no guard
-        assert match_pyramid(s, t, base="sad", levels=2).score == 0
+        assert match_pyramid(s, t, base="sad").score == 0
 
 
 class TestScoreMapOnly:
@@ -829,6 +829,67 @@ class TestScoreMapOnly:
     def test_no_map_for_pyramid(self):
         with pytest.raises(ValueError):
             score_map_only(S3, T2, "sadp")
+
+
+# Per algorithm, the oracle map whose first best offset it must find.
+ORACLE_OF = {
+    "ncc": naive_ncc_map,
+    "sad": naive_sad_map,
+    "nccp": naive_ncc_map,
+    "sadp": naive_sad_map,
+    "vec-ssd": lambda s, t: naive_projected_map(s, t, VectorMetric.SSD),
+    "vec-sad": lambda s, t: naive_projected_map(s, t, VectorMetric.SAD),
+    "vec-euclid": lambda s, t: naive_projected_map(s, t, VectorMetric.EUCLIDEAN),
+}
+
+
+class TestTiesAcrossAlgorithms:
+    """Every name of run_algorithm, on references where the best score ties
+    at many offsets, finds the oracle's first best offset and its score."""
+
+    @pytest.fixture(autouse=True, params=["narrow", "int64"])
+    def width(self, request, monkeypatch):
+        force_int64(request.param, monkeypatch)
+
+    @staticmethod
+    def _check(s, t, names=ALGORITHMS):
+        """{name: (row, col, score)} of run_algorithm, checked by the oracle."""
+        found = {}
+        for name in names:
+            scores = ORACLE_OF[name](s, t).scores
+            ncc = name.startswith("ncc")
+            row, col = divmod(int(np.nanargmax(scores) if ncc else np.argmin(scores)),
+                              scores.shape[1])
+            result = run_algorithm(name, s, t)
+            assert (result.row, result.col) == (row, col), name
+            if ncc:
+                assert result.score == pytest.approx(scores[row, col], abs=1e-12), name
+            else:
+                assert result.score == scores[row, col], name
+            found[name] = (result.row, result.col, result.score)
+        return found
+
+    def test_tiled_reference(self, rng):
+        # period 8 x 12: the crop at (17, 30) matches exactly at every
+        # (1 + 8i, 6 + 12j), so the first of them, (1, 6), is right
+        s = GrayImage(np.tile(textured_gray(rng, 8, 12, blur=3).pixels, (6, 5)))
+        found = self._check(s, crop(s, Rect(17, 30, 18, 20)))
+        assert {(row, col) for row, col, _ in found.values()} == {(1, 6)}
+
+    def test_flat_band(self, rng):
+        # rows 10-29 at 90: a flat crop inside the band matches at every
+        # offset within it, first at (10, 0), and has no NCC; then a crop
+        # across the band's lower edge
+        arr = textured_gray(rng, 48, 60).pixels.copy()
+        arr[10:30] = 90
+        s = GrayImage(arr)
+        flat = crop(s, Rect(12, 5, 16, 16))
+        for name in ("ncc", "nccp"):
+            with pytest.raises(DegenerateTemplateError):
+                run_algorithm(name, s, flat)
+        found = self._check(s, flat, [n for n in ALGORITHMS if not n.startswith("ncc")])
+        assert set(found.values()) == {(10, 0, 0)}
+        self._check(s, crop(s, Rect(20, 20, 18, 17)))
 
 
 def test_determinism(rng):
