@@ -35,11 +35,7 @@ from .matchers import (
     run_algorithm,
     score_map_only,
 )
-from .projection import (
-    VectorMetric,
-    build_column_sum_table,
-    project_template,
-)
+from .projection import VectorMetric, project_template
 
 __all__ = [
     "ALGORITHMS",
@@ -61,7 +57,6 @@ __all__ = [
     "UnsupportedFormatError",
     "UnsupportedMaxvalError",
     "VectorMetric",
-    "build_column_sum_table",
     "crop",
     "decode_pnm",
     "encode_pgm",

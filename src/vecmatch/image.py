@@ -119,6 +119,9 @@ class Rect:
     width: int
 
     def __post_init__(self) -> None:
+        for value in (self.top, self.left, self.height, self.width):
+            if not isinstance(value, (int, np.integer)):
+                raise TypeError(f"rectangle fields must be integers, got {value!r}")
         if self.height < 1 or self.width < 1:
             raise BoundsError("rectangle extent must be at least 1x1")
         if self.top < 0 or self.left < 0:
@@ -202,6 +205,8 @@ GRAY_MODES = ("luma", "channel-sum")
 
 def to_gray(image: ColorImage, mode: str = "luma") -> GrayImage:
     """Collapse RGB to intensity: BT.601 luma weights, or the plain channel mean."""
+    if not isinstance(image, ColorImage):
+        raise TypeError(f"expected a ColorImage, got {type(image).__name__}")
     rgb = image.pixels.astype(np.float64)
     if mode == "luma":
         g = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]

@@ -8,6 +8,8 @@ NCC is maximized. Ties break to the row-major first occurrence.
 The projected matcher's one prelude, _projected, makes its checks, column
 sums and, per metric, dense map and gathered scorer; match_projected takes
 the map's first minimum, and _match_vec (vec-sad, vec-ssd) searches without it.
+Every window sum, of c, W, nccp's moments and sadp's coarse columns, comes
+from projection.window_sums; _ssd_map sums c**2 in the copy of c it holds.
 
 Searches that need only the first minimum skip the map by successive
 elimination (Li & Salari, 1995) in _first_min: UB is the least exact score at
@@ -25,8 +27,8 @@ the inputs fit them.
 
 Every NCC, full ncc's map and nccp's coarse map and refinement, comes from
 int64 window moments through _ncc_ratio; full ncc and refinement score
-gathered windows directly, nccp's coarse map takes its moments from integral
-images. One rule, _flat, says which templates and windows have no NCC.
+gathered windows directly, nccp's coarse map takes its moments from
+window_sums. One rule, _flat, says which templates and windows have no NCC.
 """
 
 from __future__ import annotations
@@ -42,13 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import GrayImage
-from .projection import (
-    VectorMetric,
-    build_column_sum_table,
-    narrow_run,
-    project_template,
-    sum_dtype,
-)
+from .projection import VectorMetric, narrow_run, project_template, sum_dtype, window_sums
 
 
 class TemplateSizeError(ValueError):
@@ -121,6 +117,8 @@ def algorithm_entry(name: str) -> tuple[Callable | None, Callable | None]:
 
 
 def _check_fits(s: GrayImage, t: GrayImage) -> None:
+    if not isinstance(s, GrayImage) or not isinstance(t, GrayImage):
+        raise TypeError(f"expected GrayImages, got {type(s).__name__}, {type(t).__name__}")
     if t.height > s.height or t.width > s.width:
         raise TemplateSizeError(
             f"template {t.height}x{t.width} exceeds reference {s.height}x{s.width}"
@@ -226,6 +224,12 @@ def _ssd_map(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
     return scores
 
 
+def build_column_sum_table(s: GrayImage, m: int) -> np.ndarray:
+    """c, the column sums of every m-row window of s, (p-m+1, q), in
+    0..255*m; a name of its own, so that perfbench's tracer times it."""
+    return window_sums(s.pixels, m, 1, 255)
+
+
 def _projected(s: GrayImage, t: GrayImage, metric: VectorMetric):
     """The projected matcher's prelude: checks that t fits (and _ssd_bound for
     SSD and Euclid), then gives c, the column sums of the windows at every row
@@ -235,8 +239,7 @@ def _projected(s: GrayImage, t: GrayImage, metric: VectorMetric):
     m = t.height
     if metric is not VectorMetric.SAD:
         _ssd_bound(m, t.width)
-    prefix = build_column_sum_table(s)
-    c, v = prefix[m:] - prefix[:-m], project_template(t)
+    c, v = build_column_sum_table(s, m), project_template(t)
     if metric is VectorMetric.SAD:
         return c, v, lambda: _sad_map(c, v[None]), _sad_scores
     return c, v, lambda: _ssd_map(c, v, 255 * m), _ssd_scores
@@ -326,17 +329,6 @@ def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _total_gaps(c: np.ndarray, v: np.ndarray, c_max: int) -> np.ndarray:
-    """|W - T| at every offset of v over c, W and T the window and v totals.
-    c holds values in 0..c_max, so no row prefix of c exceeds c_max * q (q,
-    c's width): the prefix and the map are in sum_dtype of that."""
-    n = v.shape[0]
-    cum = np.cumsum(c, axis=1, dtype=sum_dtype(c_max * c.shape[1]))
-    gaps = cum[:, n - 1 :] - int(v.sum())
-    gaps[:, 1:] -= cum[:, :-n]
-    return np.abs(gaps, out=gaps)
-
-
 def _gathered(a: np.ndarray, t: np.ndarray, score: Callable) -> Callable:
     """Exact scorer of template t over image a: flat offsets -> score(windows,
     t) of the windows at those offsets, (count, m, n), gathered at most
@@ -405,7 +397,10 @@ def _match_vec(s: GrayImage, t: GrayImage, metric: VectorMetric) -> MatchResult:
     c, v, dense, score = _projected(s, t, metric)
     keep_below = ((lambda ub: ub) if metric is VectorMetric.SAD
                   else lambda ub: math.isqrt(t.width * ub))
-    row, col, best = _first_min(_total_gaps(c, v, 255 * t.height), keep_below,
+    # W is in sum_dtype(255 * m * n), where T fits too
+    gaps = window_sums(c, 1, t.width, 255 * t.height)
+    gaps -= int(v.sum())
+    row, col, best = _first_min(np.abs(gaps, out=gaps), keep_below,
                                 _gathered(c, v[None], score), dense)
     return MatchResult(row, col, best, _VEC_NAME[metric], time.perf_counter_ns() - start)
 
@@ -418,19 +413,6 @@ def match_full_sad(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
     row, col = _argmin_first(scores)
     elapsed = time.perf_counter_ns() - start
     return MatchResult(row, col, int(scores[row, col]), "sad", elapsed), ScoreMap(scores)
-
-
-def _window_sums(a: np.ndarray, m: int, n: int) -> np.ndarray:
-    """int64 sum of every m x n window of a, from an integral image. The
-    integral image may wrap past int64; each window sum is still exact while
-    its true value fits."""
-    ii = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
-    np.cumsum(a, axis=0, dtype=np.int64, out=ii[1:, 1:])
-    np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
-    sums = ii[m:, n:] - ii[:-m, n:]
-    sums -= ii[m:, :-n]
-    sums += ii[:-m, :-n]
-    return sums
 
 
 def _flat(energy, area: int):
@@ -479,8 +461,8 @@ def _ncc_ratio(s1: np.ndarray, s2: np.ndarray, wt: np.ndarray, tm: tuple) -> np.
 def _ncc_moment_map(s_arr: np.ndarray, t_arr: np.ndarray, k: int) -> np.ndarray:
     """NCC map of level k of the sum pyramid, whose values are integers in
     0..255*4**k, from _ncc_ratio, NaN where a window is _flat. Per window,
-    S1 and S2 come from integral images, and WT from one _window_dots map
-    per template row.
+    S1 and S2 come from window_sums, and WT from one _window_dots map per
+    template row.
     """
     m, n = t_arr.shape
     _moment_bound(k, m * n)
@@ -490,8 +472,11 @@ def _ncc_moment_map(s_arr: np.ndarray, t_arr: np.ndarray, k: int) -> np.ndarray:
     wt = _window_dots(s_arr[:rows], t_arr[0], peak)
     for a in range(1, m):
         wt += _window_dots(s_arr[a : a + rows], t_arr[a], peak)
-    s2 = _window_sums(np.square(s_arr, dtype=np.int64), m, n)
-    return _ncc_ratio(_window_sums(s_arr, m, n), s2, wt, tm)
+    # int64, as _ncc_ratio squares and scales the moments in place
+    s1 = window_sums(s_arr, m, n, peak).astype(np.int64, copy=False)
+    s2 = window_sums(np.square(s_arr, dtype=sum_dtype(peak**2)), m, n,
+                     peak**2).astype(np.int64, copy=False)
+    return _ncc_ratio(s1, s2, wt, tm)
 
 
 def match_full_ncc(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
@@ -542,8 +527,8 @@ def _coarse_search(
     offset is the same, ties included, and NCC is the same up to rounding.
     SAD runs _first_min, bounded by the level's vec-SAD map."""
     if base == "sad":
-        m = t_level.shape[0]
-        vec_sad = _sad_map(_window_sums(s_level, m, 1), _window_sums(t_level, m, 1))
+        m, peak = t_level.shape[0], 255 * 4**k
+        vec_sad = _sad_map(window_sums(s_level, m, 1, peak), window_sums(t_level, m, 1, peak))
         return _first_min(vec_sad, lambda ub: ub, _gathered(s_level, t_level, _sad_scores),
                           lambda: _sad_map(s_level, t_level))
     coarse = _ncc_moment_map(s_level, t_level, k)

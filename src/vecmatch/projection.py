@@ -1,8 +1,9 @@
-"""Column-sum projection: 1-D template vectors and the sliding prefix-sum engine.
+"""Column-sum projection: 1-D template vectors and the one window-sum kernel.
 
 The reduction maps an m x n image to an n-vector of per-column intensity sums.
-Windowed column sums over the reference come from a vertical prefix table, so
-each window costs O(n) instead of O(m*n).
+The column sums of every m-row window of the reference, like every other
+window sum of the package, come from window_sums, so each window costs O(n)
+instead of O(m*n).
 """
 
 from __future__ import annotations
@@ -47,14 +48,27 @@ def project_template(t: GrayImage) -> ColumnVector:
     return t.pixels.sum(axis=0, dtype=np.int64)
 
 
-def build_column_sum_table(s: GrayImage) -> np.ndarray:
-    """Read-only vertical prefix sums of a reference: prefix[r, c] is the sum
-    of pixels (0..r-1, c), shape (p+1, q), in sum_dtype(255 * p): int32 up
-    to p = 8421504 rows. The column sums of the window of height m at row
-    offset i are prefix[i + m] - prefix[i], in the same dtype."""
-    prefix = np.zeros((s.height + 1, s.width), dtype=sum_dtype(255 * s.height))
-    # Widen first, then sum in place: cumsum straight from uint8 is ~3x slower.
-    prefix[1:] = s.pixels
-    np.cumsum(prefix[1:], axis=0, out=prefix[1:])
-    prefix.setflags(write=False)
-    return prefix
+def window_sums(a: np.ndarray, m: int, n: int, peak: int) -> np.ndarray:
+    """Sum of every m x n window of a, a non-negative integer array whose
+    values are at most peak: a new array of shape (p-m+1, q-n+1), in
+    sum_dtype(peak * m * n). Per axis, a prefix sum and a difference of
+    prefixes m (or n) apart, as in a summed-area table (Crow, 1984); an axis
+    of window extent 1 is skipped. Either prefix may wrap in that dtype, yet
+    every window sum is exact, as its true value fits."""
+    dtype = sum_dtype(peak * m * n)
+    if m == 1 and n == 1:
+        return a.astype(dtype)
+    sums = a
+    if m > 1:
+        # Widen first, then sum in place: cumsum straight from uint8 is ~3x slower.
+        cum = a.astype(dtype)
+        np.cumsum(cum, axis=0, out=cum)
+        sums = np.empty((cum.shape[0] - m + 1, cum.shape[1]), dtype=dtype)
+        sums[0] = cum[m - 1]
+        np.subtract(cum[m:], cum[:-m], out=sums[1:])
+    if n > 1:
+        cum = np.cumsum(sums, axis=1, dtype=dtype, out=sums if m > 1 else None)
+        sums = np.empty((cum.shape[0], cum.shape[1] - n + 1), dtype=dtype)
+        sums[:, 0] = cum[:, n - 1]
+        np.subtract(cum[:, n:], cum[:, :-n], out=sums[:, 1:])
+    return sums

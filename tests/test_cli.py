@@ -186,7 +186,7 @@ class TestMatch:
     def test_ssd_range_checked_before_scoring(self, images, capsys, monkeypatch):
         # as test_matchers' test_checked_before_scoring for match_projected:
         # without --map, a 16 x 16 vec-ssd trips a limit of 100 before any
-        # prefix table is built
+        # window sum is taken
         ref, tpl = images
         s, t = decode_pnm(ref.read_bytes()), decode_pnm(tpl.read_bytes())
         monkeypatch.setattr(matchers, "_INT64_MAX", 100)
@@ -194,7 +194,7 @@ class TestMatch:
         def unreachable(*args):
             raise AssertionError("scoring started before the range check")
 
-        monkeypatch.setattr(matchers, "build_column_sum_table", unreachable)
+        monkeypatch.setattr(matchers, "window_sums", unreachable)
         with pytest.raises(ScoreOverflowError):
             matchers.run_algorithm("vec-ssd", s, t)
         assert main(["match", "--reference", str(ref), "--template", str(tpl),

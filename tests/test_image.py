@@ -220,6 +220,10 @@ class TestToGray:
         with pytest.raises(ValueError):
             to_gray(ColorImage([[[0, 0, 0]]]), "hsv")
 
+    def test_gray_input_is_a_type_error(self):
+        with pytest.raises(TypeError, match="ColorImage"):
+            to_gray(GrayImage([[1, 2]]))
+
     @given(st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)))
     def test_output_in_range(self, rgb):
         img = ColorImage([[list(rgb)]])
@@ -261,6 +265,15 @@ class TestCrop:
     def test_negative_corner_rejected(self, top, left):
         with pytest.raises(BoundsError, match="non-negative"):
             Rect(top=top, left=left, height=1, width=1)
+
+    def test_non_integer_fields_are_a_type_error(self):
+        with pytest.raises(TypeError, match="integers"):
+            Rect(0.5, 0, 1, 1)
+        with pytest.raises(TypeError, match="integers"):
+            Rect(0, 0, "2", 1)
+        # numpy integers are integers
+        img = GrayImage([[1, 2], [3, 4]])
+        assert crop(img, Rect(np.int64(1), np.uint8(0), 1, 2)).pixels.tolist() == [[3, 4]]
 
     @given(
         gray_arrays,

@@ -59,6 +59,14 @@ class TestMatchProjected:
         with pytest.raises(TemplateSizeError):
             match_projected(T2, S3, VectorMetric.SSD)
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_arrays_are_a_type_error(self, algo):
+        # every matcher checks its inputs first, in _check_fits
+        with pytest.raises(TypeError, match="GrayImage"):
+            run_algorithm(algo, S3, T2.pixels)
+        with pytest.raises(TypeError, match="GrayImage"):
+            run_algorithm(algo, S3.pixels, T2)
+
     def test_row_major_tie_break(self):
         s = GrayImage([[3, 3, 3], [3, 3, 3]])
         t = GrayImage([[3]])
@@ -311,7 +319,7 @@ class TestSadFirstMin:
         s = GrayImage(np.full((16, 20), 7, dtype=np.uint8))
         t = random_gray(rng, 3, 4)
         c, v = matchers._projected(s, t, VectorMetric.SAD)[:2]
-        bound = matchers._total_gaps(c, v, 255 * 3)
+        bound = np.abs(projection.window_sums(c, 1, 4, 255 * 3) - int(v.sum()))
         assert bound.size > matchers._SEED_COUNT and (bound == bound[0, 0]).all()
         for row, col, _ in self._check(s, t).values():
             assert (row, col) == (0, 0)
