@@ -74,7 +74,58 @@ class TestWindowColumnSums:
         assert np.array_equal(sums, _direct(arr, m, n))
 
 
+def _prefix_reference(arr, m, n):
+    """Every m x n window sum of arr from int64 cumsum prefixes of both axes."""
+    cum = np.zeros((arr.shape[0] + 1, arr.shape[1] + 1), dtype=np.int64)
+    cum[1:, 1:] = arr.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+    return cum[m:, n:] - cum[:-m, n:] - cum[m:, :-n] + cum[:-m, :-n]
+
+
+class TestBlockedPrefix:
+    # The vertical prefix runs in blocks of isqrt(p) rows plus a ragged tail.
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.uint8, st.tuples(st.integers(1, 80), st.integers(1, 6)),
+                      elements=st.integers(0, 255)))
+    def test_every_height_against_cumsum(self, arr):
+        for m in range(1, arr.shape[0] + 1):
+            assert np.array_equal(window_sums(arr, m, 1, 255), _prefix_reference(arr, m, 1))
+
+    @pytest.mark.parametrize("path", ["int32", "int64-tables"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 15, 16, 17, 80])
+    def test_pinned_heights(self, p, path, rng, monkeypatch):
+        # exact squares, a square plus one, and ragged tails
+        if path == "int64-tables":
+            monkeypatch.setattr(projection, "_INT32_MAX", 0)
+        arr = rng.integers(0, 256, (p, 5), dtype=np.uint8)
+        for m in range(1, p + 1):
+            for n in (1, 3, 5):
+                sums = window_sums(arr, m, n, 255)
+                assert sums.dtype == (np.int64 if path == "int64-tables" else np.int32)
+                assert np.array_equal(sums, _prefix_reference(arr, m, n))
+
+    def test_wrapped_carry_across_blocks(self, rng, monkeypatch):
+        # 300 rows: blocks of 17 rows and an 11-row tail. Every int16 column
+        # prefix passes 32767 inside the blocks and wraps as it is carried on.
+        def narrow(largest):
+            return np.int16 if largest <= np.iinfo(np.int16).max else np.int64
+
+        monkeypatch.setattr(projection, "sum_dtype", narrow)
+        arr = rng.integers(128, 256, (300, 3), dtype=np.uint8)
+        assert arr.sum(axis=0, dtype=np.int64).min() > np.iinfo(np.int16).max
+        for m in (1, 17, 18, 299, 300):
+            sums = window_sums(arr, m, 1, 255)
+            assert sums.dtype == (np.int16 if m <= 18 else np.int64)
+            assert np.array_equal(sums, _prefix_reference(arr, m, 1))
+
+
 class TestWindowSums:
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (0, 0), (-1, 2), (6, 1), (1, 8), (6, 8)])
+    def test_rejects_windows_outside_the_array(self, m, n):
+        arr = np.ones((5, 7), dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"{m}x{n} windows of a 5x7"):
+            window_sums(arr, m, n, 255)
+
     def test_wrapped_prefix_gives_exact_windows(self, monkeypatch):
         # int16 while the bound fits: each prefix below passes 32767 and
         # wraps, yet every window sum fits int16 and comes out exact
