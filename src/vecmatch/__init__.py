@@ -25,13 +25,9 @@ from .matchers import (
     DegenerateTemplateError,
     MatchResult,
     NoCandidateError,
-    ScoreMap,
     ScoreOverflowError,
     TemplateSizeError,
-    match_full_ncc,
-    match_full_sad,
-    match_projected,
-    match_pyramid,
+    match_dense,
     run_algorithm,
     score_map_only,
 )
@@ -50,7 +46,6 @@ __all__ = [
     "PnmError",
     "Rect",
     "SampleRangeError",
-    "ScoreMap",
     "ScoreOverflowError",
     "TemplateSizeError",
     "TruncatedPayloadError",
@@ -61,10 +56,7 @@ __all__ = [
     "decode_pnm",
     "encode_pgm",
     "encode_ppm",
-    "match_full_ncc",
-    "match_full_sad",
-    "match_projected",
-    "match_pyramid",
+    "match_dense",
     "project_template",
     "run_algorithm",
     "score_map_only",

@@ -48,9 +48,9 @@ def _cmd_match(args) -> int:
     s = _load_gray(args.reference, args.color_mode)
     t = _load_gray(args.template, args.color_mode)
     if args.map:
-        result, smap = match_dense(args.algo, s, t)
+        result, scores = match_dense(args.algo, s, t)
         with open(args.map, "w", encoding="utf-8") as f:
-            for row in np.asarray(smap.scores, dtype=np.float64):
+            for row in np.asarray(scores, dtype=np.float64):
                 f.write(",".join(repr(v) for v in row.tolist()) + "\n")
     else:
         result = run_algorithm(args.algo, s, t)

@@ -5,7 +5,12 @@ Conventions: all offsets are 0-based top-left corners; valid offsets run over
 the full inclusive ranges 0..p-m and 0..q-n. Distance metrics are minimized,
 NCC is maximized. Ties break to the row-major first occurrence.
 
-The projected matcher's one prelude, _projected, makes its checks, column
+run_algorithm and match_dense, the one front door, check the inputs, time
+the call and name the MatchResult. The matchers in _TABLE return plain values:
+a dense one (row, col, score, map), the map a bare array, NaN where a window
+has no NCC; a map-free search (row, col, score).
+
+The projected matcher's one prelude, _projected, makes its range check, column
 sums and, per metric, dense map and gathered scorer; match_projected takes
 the map's first minimum, and _match_vec (vec-sad, vec-ssd) searches without it.
 Every window sum, of c, W, nccp's moments and sadp's coarse columns, comes
@@ -18,7 +23,7 @@ and the offsets whose bound allows a score <= UB are scored in row-major
 order; past _SURVIVOR_SHARE of all offsets, all are. _match_vec bounds by
 |W - T| (window and template totals), as vec-SAD >= |W - T| and vec-SSD >=
 (W - T)**2 / n; sadp's coarse SAD by vec-SAD.
-vec-euclid, full sad, match_projected and match_dense (--map) stay dense.
+vec-euclid, full sad and match_dense (--map) stay dense.
 
 Every SAD map, full sad's, vec-sad's and sadp's coarse bound and fallback,
 comes from one full-search kernel, _sad_map: every cell of every window,
@@ -79,8 +84,8 @@ class MatchResult:
 class ScoreMap:
     """Dense grid of scores over all valid top-left offsets.
 
-    For NCC, cells whose window has zero variance are NaN and flagged invalid
-    in the `valid` mask; `valid is None` means every cell is meaningful.
+    For NCC, cells whose window has zero variance are NaN; the oracle also
+    flags them in the `valid` mask, which score_map_only leaves None.
     """
 
     __slots__ = ("scores", "valid")
@@ -90,11 +95,11 @@ class ScoreMap:
         self.valid = valid
 
 
-# Per algorithm: its dense matcher, (s, t) -> (MatchResult, ScoreMap), or
-# None; and a matcher (s, t) -> MatchResult that run_algorithm prefers to the
-# dense one, or None. The lambdas look a matcher up in this module when
-# called, so replacing a module attribute (as tests and tracers do) reaches
-# every caller.
+# Per algorithm: its dense matcher, (s, t) -> (row, col, score, map), or
+# None; and a map-free search (s, t) -> (row, col, score) that run_algorithm
+# prefers to the dense one, or None; neither checks its inputs. The lambdas
+# look a matcher up in this module when called, so replacing a module
+# attribute (as tests and tracers do) reaches every caller.
 _TABLE = {
     "ncc": (lambda s, t: match_full_ncc(s, t), None),
     "sad": (lambda s, t: match_full_sad(s, t), None),
@@ -231,11 +236,10 @@ def build_column_sum_table(s: GrayImage, m: int) -> np.ndarray:
 
 
 def _projected(s: GrayImage, t: GrayImage, metric: VectorMetric):
-    """The projected matcher's prelude: checks that t fits (and _ssd_bound for
-    SSD and Euclid), then gives c, the column sums of the windows at every row
-    offset, (p-m+1, q), in 0..255*m; v, those of t; a thunk for the metric's
-    dense map of v over c; and its scorer for _gathered."""
-    _check_fits(s, t)
+    """The projected matcher's prelude: _ssd_bound for SSD and Euclid, then
+    c, the column sums of the windows at every row offset, (p-m+1, q), in
+    0..255*m; v, those of t; a thunk for the metric's dense map of v over c;
+    and its scorer for _gathered."""
     m = t.height
     if metric is not VectorMetric.SAD:
         _ssd_bound(m, t.width)
@@ -245,15 +249,10 @@ def _projected(s: GrayImage, t: GrayImage, metric: VectorMetric):
     return c, v, lambda: _ssd_map(c, v, 255 * m), _ssd_scores
 
 
-_VEC_NAME = {VectorMetric.SSD: "vec-ssd", VectorMetric.SAD: "vec-sad",
-             VectorMetric.EUCLIDEAN: "vec-euclid"}
-
-
-def match_projected(
-    s: GrayImage, t: GrayImage, metric: VectorMetric
-) -> tuple[MatchResult, ScoreMap]:
-    """Dimension-reduction matcher: compare 1-D column-sum vectors at every offset."""
-    start = time.perf_counter_ns()
+def match_projected(s: GrayImage, t: GrayImage, metric: VectorMetric):
+    """Dimension-reduction matcher: compare 1-D column-sum vectors at every
+    offset. (row, col, score, map); Euclid's argmin is taken on the integer
+    SSD map, before the square root."""
     scores = _projected(s, t, metric)[2]()
     row, col = _argmin_first(scores)
     if metric is VectorMetric.EUCLIDEAN:
@@ -263,8 +262,7 @@ def match_projected(
     else:
         scores = scores.astype(np.int64, copy=False)
         best = int(scores[row, col])
-    elapsed = time.perf_counter_ns() - start
-    return MatchResult(row, col, best, _VEC_NAME[metric], elapsed), ScoreMap(scores)
+    return row, col, best, scores
 
 
 def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
@@ -389,30 +387,24 @@ def _first_min(bound: np.ndarray, keep_below: Callable, exact: Callable,
     return *divmod(int(keep[k]), cols), int(scores[k])
 
 
-def _match_vec(s: GrayImage, t: GrayImage, metric: VectorMetric) -> MatchResult:
-    """vec-sad's or vec-ssd's result from _first_min, without a score map.
-    Both are bounded by |W - T|: vec-SAD >= |W - T|, and by Cauchy-Schwarz
-    (W - T)**2 <= n * vec-SSD."""
-    start = time.perf_counter_ns()
+def _match_vec(s: GrayImage, t: GrayImage, metric: VectorMetric) -> tuple[int, int, int]:
+    """vec-sad's or vec-ssd's (row, col, score) from _first_min, without a
+    score map. Both are bounded by |W - T|: vec-SAD >= |W - T|, and by
+    Cauchy-Schwarz (W - T)**2 <= n * vec-SSD."""
     c, v, dense, score = _projected(s, t, metric)
     keep_below = ((lambda ub: ub) if metric is VectorMetric.SAD
                   else lambda ub: math.isqrt(t.width * ub))
     # W is in sum_dtype(255 * m * n), where T fits too
     gaps = window_sums(c, 1, t.width, 255 * t.height)
     gaps -= int(v.sum())
-    row, col, best = _first_min(np.abs(gaps, out=gaps), keep_below,
-                                _gathered(c, v[None], score), dense)
-    return MatchResult(row, col, best, _VEC_NAME[metric], time.perf_counter_ns() - start)
+    return _first_min(np.abs(gaps, out=gaps), keep_below, _gathered(c, v[None], score), dense)
 
 
-def match_full_sad(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
+def match_full_sad(s: GrayImage, t: GrayImage):
     """Conventional full-search sum of absolute differences."""
-    start = time.perf_counter_ns()
-    _check_fits(s, t)
     scores = _sad_map(s.pixels, t.pixels)
     row, col = _argmin_first(scores)
-    elapsed = time.perf_counter_ns() - start
-    return MatchResult(row, col, int(scores[row, col]), "sad", elapsed), ScoreMap(scores)
+    return row, col, int(scores[row, col]), scores
 
 
 def _flat(energy, area: int):
@@ -479,21 +471,16 @@ def _ncc_moment_map(s_arr: np.ndarray, t_arr: np.ndarray, k: int) -> np.ndarray:
     return _ncc_ratio(s1, s2, wt, tm)
 
 
-def match_full_ncc(s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
+def match_full_ncc(s: GrayImage, t: GrayImage):
     """Conventional full-search normalized cross correlation (maximized): the
-    windows at every offset, gathered and scored directly by _ncc_scorer."""
-    start = time.perf_counter_ns()
-    _check_fits(s, t)
+    windows at every offset, gathered and scored directly by _ncc_scorer.
+    (row, col, score, map), the map NaN where a window is _flat."""
     _moment_bound(0, t.pixels.size)
     exact = _gathered(s.pixels, t.pixels, _ncc_scorer(t.pixels))
     rows, cols = s.height - t.height + 1, s.width - t.width + 1
     scores = exact(np.arange(rows * cols)).reshape(rows, cols)
     row, col = _argmax_valid(scores)
-    elapsed = time.perf_counter_ns() - start
-    return (
-        MatchResult(row, col, float(scores[row, col]), "ncc", elapsed),
-        ScoreMap(scores, ~np.isnan(scores)),
-    )
+    return row, col, float(scores[row, col]), scores
 
 
 def _pyramid_levels(pixels: np.ndarray, count: int) -> list[np.ndarray]:
@@ -536,13 +523,11 @@ def _coarse_search(
     return br, bc, float(coarse[br, bc])
 
 
-def match_pyramid(s: GrayImage, t: GrayImage, base: str = "sad") -> MatchResult:
+def match_pyramid(s: GrayImage, t: GrayImage, base: str = "sad"):
     """Coarse-to-fine search on the sum pyramid, auto_pyramid_levels(t)
     deep: full search at the coarsest level, then refine within _RADIUS
     (Chebyshev) of the doubled best position per level. NCC starts from the
-    deepest level at which the template still varies."""
-    start = time.perf_counter_ns()
-    _check_fits(s, t)
+    deepest level at which the template still varies. (row, col, score)."""
     if base not in ("sad", "ncc"):
         raise ValueError(f"unknown base metric {base!r}; expected 'sad' or 'ncc'")
     if base == "ncc":
@@ -578,26 +563,36 @@ def match_pyramid(s: GrayImage, t: GrayImage, base: str = "sad") -> MatchResult:
         f = int(pick(scores))
         best, br, bc = scores[f], r0 + f // cols, c0 + f % cols
 
-    elapsed = time.perf_counter_ns() - start
-    if base == "sad":
-        return MatchResult(br, bc, int(best), "sadp", elapsed)
-    return MatchResult(br, bc, float(best), "nccp", elapsed)
+    return br, bc, int(best) if base == "sad" else float(best)
 
 
-def match_dense(name: str, s: GrayImage, t: GrayImage) -> tuple[MatchResult, ScoreMap]:
-    """Result and score map of a dense (full-search) algorithm, from one pass."""
-    matcher = algorithm_entry(name)[0]
+def _front_door(name: str, s: GrayImage, t: GrayImage, dense: bool):
+    """Run `name`'s dense matcher if `dense`, else its map-free search if it
+    has one; the inputs checked first, the call timed. Returns the named
+    MatchResult and the rest of what the matcher returned, [map] or []."""
+    matcher, search = algorithm_entry(name)
+    if not dense and search:
+        matcher = search
     if matcher is None:
         raise ValueError(f"no dense score map for algorithm {name!r}")
-    return matcher(s, t)
+    start = time.perf_counter_ns()
+    _check_fits(s, t)
+    row, col, score, *rest = matcher(s, t)
+    return MatchResult(row, col, score, name, time.perf_counter_ns() - start), rest
+
+
+def match_dense(name: str, s: GrayImage, t: GrayImage) -> tuple[MatchResult, np.ndarray]:
+    """Result and score map of a dense (full-search) algorithm, from one pass;
+    the map is NaN where ncc has no score."""
+    result, (scores,) = _front_door(name, s, t, dense=True)
+    return result, scores
 
 
 def score_map_only(s: GrayImage, t: GrayImage, algorithm: str) -> ScoreMap:
     """Score map for inspection, without the argmin/argmax decision."""
-    return match_dense(algorithm, s, t)[1]
+    return ScoreMap(match_dense(algorithm, s, t)[1])
 
 
 def run_algorithm(name: str, s: GrayImage, t: GrayImage) -> MatchResult:
     """Run one of the seven named algorithms."""
-    matcher, search = algorithm_entry(name)
-    return search(s, t) if search else matcher(s, t)[0]
+    return _front_door(name, s, t, dense=False)[0]

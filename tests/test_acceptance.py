@@ -14,9 +14,7 @@ from vecmatch import (
     crop,
     decode_pnm,
     encode_pgm,
-    match_full_ncc,
-    match_full_sad,
-    match_projected,
+    match_dense,
     run_algorithm,
 )
 from vecmatch.bench import BenchRecord, emit_csv, parse_csv
@@ -88,26 +86,25 @@ def test_criterion_1_clean_data_exactness(reference):
 
 def test_criterion_2_oracle_equivalence(sweep):
     for s, t in sweep:
-        for metric in (VectorMetric.SSD, VectorMetric.SAD):
-            fast = match_projected(s, t, metric)[1].scores
+        for algo, metric in (("vec-ssd", VectorMetric.SSD), ("vec-sad", VectorMetric.SAD)):
+            fast = match_dense(algo, s, t)[1]
             naive = naive_projected_map(s, t, metric).scores
             assert np.array_equal(fast, naive)
-        euc_fast = match_projected(s, t, VectorMetric.EUCLIDEAN)[1].scores
+        euc_fast = match_dense("vec-euclid", s, t)[1]
         euc_naive = naive_projected_map(s, t, VectorMetric.EUCLIDEAN).scores
         np.testing.assert_allclose(euc_fast, euc_naive, rtol=1e-9)
-        assert np.array_equal(match_full_sad(s, t)[1].scores, naive_sad_map(s, t).scores)
+        assert np.array_equal(match_dense("sad", s, t)[1], naive_sad_map(s, t).scores)
         if int(t.pixels.min()) == int(t.pixels.max()):
             with pytest.raises(DegenerateTemplateError):
-                match_full_ncc(s, t)
+                match_dense("ncc", s, t)
             with pytest.raises(DegenerateTemplateError):
                 naive_ncc_map(s, t)
             continue
-        fast_map = match_full_ncc(s, t)[1]
+        fast_map = match_dense("ncc", s, t)[1]
         naive_map = naive_ncc_map(s, t)
-        assert np.array_equal(fast_map.valid, naive_map.valid)
+        assert np.array_equal(np.isnan(fast_map), ~naive_map.valid)
         np.testing.assert_allclose(
-            fast_map.scores[fast_map.valid], naive_map.scores[naive_map.valid],
-            rtol=1e-9,
+            fast_map[naive_map.valid], naive_map.scores[naive_map.valid], rtol=1e-9,
         )
     report(2, "fast-path score maps equal the brute-force oracle on 200 random "
               "instances (bit-exact integer metrics, 1e-9 relative for ncc/euclid)")
@@ -116,9 +113,9 @@ def test_criterion_2_oracle_equivalence(sweep):
 def test_criterion_3_lower_bounds(sweep):
     for s, t in sweep:
         m = t.height
-        vec_sad = match_projected(s, t, VectorMetric.SAD)[1].scores
-        vec_ssd = match_projected(s, t, VectorMetric.SSD)[1].scores
-        sad_2d = match_full_sad(s, t)[1].scores
+        vec_sad = match_dense("vec-sad", s, t)[1]
+        vec_ssd = match_dense("vec-ssd", s, t)[1]
+        sad_2d = match_dense("sad", s, t)[1]
         # 2-D SSD computed independently for the bound check
         rows, cols = sad_2d.shape
         t64 = t.pixels.astype(np.int64)
@@ -135,8 +132,8 @@ def test_criterion_3_lower_bounds(sweep):
 
 def test_criterion_4_argmin_invariance(sweep):
     for s, t in sweep:
-        ssd = match_projected(s, t, VectorMetric.SSD)[0]
-        euc = match_projected(s, t, VectorMetric.EUCLIDEAN)[0]
+        ssd = match_dense("vec-ssd", s, t)[0]
+        euc = match_dense("vec-euclid", s, t)[0]
         assert (ssd.row, ssd.col) == (euc.row, euc.col)
     report(4, "vec-ssd and vec-euclid agree on (row, col) for every sweep instance")
 

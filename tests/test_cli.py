@@ -9,7 +9,7 @@ import pytest
 import vecmatch
 from vecmatch import (
     ALGORITHMS, ColorImage, GrayImage, Rect, ScoreOverflowError, crop, decode_pnm,
-    encode_pgm, encode_ppm, score_map_only, to_gray,
+    encode_pgm, encode_ppm, to_gray,
 )
 from vecmatch import cli, matchers
 from vecmatch.bench import parse_csv
@@ -157,10 +157,13 @@ class TestMatch:
         calls = count_matcher_calls(monkeypatch)
         for ref, tpl in (images, tiled_paths):
             s, t = decode_pnm(ref.read_bytes()), decode_pnm(tpl.read_bytes())
+            dense, scores = matchers.match_dense(algo, s, t)
+            result = matchers.run_algorithm(algo, s, t)
+            assert dense.metric == result.metric == algo
+            assert (dense.row, dense.col, dense.score) == (result.row, result.col, result.score)
             expected_csv = "".join(
                 ",".join(repr(v) for v in row) + "\n"
-                for row in np.asarray(score_map_only(s, t, algo).scores,
-                                      dtype=np.float64).tolist()
+                for row in np.asarray(scores, dtype=np.float64).tolist()
             )
             calls.clear()
             out = tmp_path / "map.csv"
@@ -184,7 +187,7 @@ class TestMatch:
         assert (result.row, result.col, result.metric) == (10, 20, algo)
 
     def test_ssd_range_checked_before_scoring(self, images, capsys, monkeypatch):
-        # as test_matchers' test_checked_before_scoring for match_projected:
+        # as test_matchers' test_checked_before_scoring for the dense vec-ssd:
         # without --map, a 16 x 16 vec-ssd trips a limit of 100 before any
         # window sum is taken
         ref, tpl = images

@@ -17,10 +17,7 @@ from vecmatch import (
     TemplateSizeError,
     VectorMetric,
     crop,
-    match_full_ncc,
-    match_full_sad,
-    match_projected,
-    match_pyramid,
+    match_dense,
     run_algorithm,
     score_map_only,
 )
@@ -40,37 +37,62 @@ S3 = GrayImage([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 T2 = GrayImage([[5, 6], [8, 9]])
 
 
+# The names with a dense score map, and every kernel the front door can reach.
+DENSE_NAMES = tuple(n for n in ALGORITHMS if matchers.algorithm_entry(n)[0])
+KERNELS = ("match_projected", "_match_vec", "match_full_sad", "match_full_ncc",
+           "match_pyramid")
+
+
+def front_doors(algo):
+    """run_algorithm, and match_dense where algo has a dense map."""
+    return (run_algorithm, match_dense) if algo in DENSE_NAMES else (run_algorithm,)
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Make every kernel raise if reached."""
+    def unreachable(*args):
+        raise AssertionError("a kernel ran before the inputs were checked")
+
+    for name in KERNELS:
+        monkeypatch.setattr(matchers, name, unreachable)
+
+
 class TestMatchProjected:
     def test_cropped_template_found(self):
-        result, _ = match_projected(S3, T2, VectorMetric.SSD)
+        result, _ = match_dense("vec-ssd", S3, T2)
         assert (result.row, result.col, result.score) == (1, 1, 0)
 
     def test_equal_images(self):
-        result, smap = match_projected(S3, S3, VectorMetric.SSD)
+        result, scores = match_dense("vec-ssd", S3, S3)
         assert (result.row, result.col, result.score) == (0, 0, 0)
-        assert smap.scores.shape == (1, 1)
+        assert scores.shape == (1, 1)
 
     def test_score_map_values(self):
         # window vectors (5,7),(7,9),(11,13),(13,15) against NT=(13,15)
-        _, smap = match_projected(S3, T2, VectorMetric.SSD)
-        assert smap.scores.tolist() == [[128, 72], [8, 0]]
+        _, scores = match_dense("vec-ssd", S3, T2)
+        assert scores.tolist() == [[128, 72], [8, 0]]
 
-    def test_template_too_large(self):
-        with pytest.raises(TemplateSizeError):
-            match_projected(T2, S3, VectorMetric.SSD)
+    def test_template_too_large(self, no_kernel):
+        # the front door checks the fit before any kernel runs
+        for algo in ALGORITHMS:
+            for door in front_doors(algo):
+                with pytest.raises(TemplateSizeError):
+                    door(algo, T2, S3)
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
-    def test_arrays_are_a_type_error(self, algo):
+    def test_arrays_are_a_type_error(self, algo, no_kernel):
         # every matcher checks its inputs first, in _check_fits
-        with pytest.raises(TypeError, match="GrayImage"):
-            run_algorithm(algo, S3, T2.pixels)
-        with pytest.raises(TypeError, match="GrayImage"):
-            run_algorithm(algo, S3.pixels, T2)
+        for door in front_doors(algo):
+            with pytest.raises(TypeError, match="GrayImage"):
+                door(algo, S3, T2.pixels)
+            with pytest.raises(TypeError, match="GrayImage"):
+                door(algo, S3.pixels, T2)
 
     def test_row_major_tie_break(self):
         s = GrayImage([[3, 3, 3], [3, 3, 3]])
         t = GrayImage([[3]])
-        result, _ = match_projected(s, t, VectorMetric.SAD)
+        result, _ = match_dense("vec-sad", s, t)
         assert (result.row, result.col) == (0, 0)
 
 
@@ -124,19 +146,19 @@ class TestProjectedSsdEdges:
     @pytest.mark.parametrize("case", CASES)
     def test_ssd_bit_exact(self, case, rng):
         s, t = _edge_case(case, rng)
-        result, smap = match_projected(s, t, VectorMetric.SSD)
+        result, scores = match_dense("vec-ssd", s, t)
         expected = naive_projected_map(s, t, VectorMetric.SSD).scores
-        assert smap.scores.shape == (s.height - t.height + 1, s.width - t.width + 1)
-        assert smap.scores.dtype == np.int64
-        assert np.array_equal(smap.scores, expected)
+        assert scores.shape == (s.height - t.height + 1, s.width - t.width + 1)
+        assert scores.dtype == np.int64
+        assert np.array_equal(scores, expected)
         assert result.score == expected.min()
 
     @pytest.mark.parametrize("case", CASES)
     def test_euclid_matches_oracle(self, case, rng):
         s, t = _edge_case(case, rng)
-        _, smap = match_projected(s, t, VectorMetric.EUCLIDEAN)
+        _, scores = match_dense("vec-euclid", s, t)
         expected = naive_projected_map(s, t, VectorMetric.EUCLIDEAN).scores
-        np.testing.assert_allclose(smap.scores, expected, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(scores, expected, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("int_path", SAD_PATHS, indirect=True)
     @pytest.mark.parametrize("algo", ["vec-sad", "sad"])
@@ -156,14 +178,13 @@ class TestProjectedSsdEdges:
 
     @staticmethod
     def _check_sad(algo, s, t):
+        result, scores = match_dense(algo, s, t)
         if algo == "sad":
-            result, smap = match_full_sad(s, t)
             expected = naive_sad_map(s, t).scores
         else:
-            result, smap = match_projected(s, t, VectorMetric.SAD)
             expected = naive_projected_map(s, t, VectorMetric.SAD).scores
-        assert smap.scores.dtype == np.int64
-        assert np.array_equal(smap.scores, expected)
+        assert scores.dtype == np.int64
+        assert np.array_equal(scores, expected)
         assert result.score == expected.min()
 
 
@@ -233,10 +254,9 @@ def test_sad_map_reads_last_pixel(rng):
 
 def _vec_search(metric):
     def search(s, t):
-        result = matchers._match_vec(s, t, metric)
-        assert type(result.score) is int
-        scores = naive_projected_map(s, t, metric).scores
-        return (result.row, result.col, result.score), scores
+        found = matchers._match_vec(s, t, metric)
+        assert type(found[2]) is int
+        return found, naive_projected_map(s, t, metric).scores
     return search
 
 
@@ -403,34 +423,34 @@ class TestSsdRangeGuard:
     def test_checked_before_scoring(self, monkeypatch):
         # shrink the limit so a 2x2 template trips it: (255*2)**2 * 2 > 100
         monkeypatch.setattr(matchers, "_INT64_MAX", 100)
-        for metric in (VectorMetric.SSD, VectorMetric.EUCLIDEAN):
+        for algo in ("vec-ssd", "vec-euclid"):
             with pytest.raises(ScoreOverflowError):
-                match_projected(S3, T2, metric)
+                match_dense(algo, S3, T2)
         # SAD scores are bounded by 255*m*n and need no guard
-        assert match_projected(S3, T2, VectorMetric.SAD)[0].score == 0
+        assert match_dense("vec-sad", S3, T2)[0].score == 0
 
 
 class TestMatchFullSad:
     def test_cropped_template_found(self):
-        result, _ = match_full_sad(S3, T2)
+        result, _ = match_dense("sad", S3, T2)
         assert (result.row, result.col, result.score) == (1, 1, 0)
 
     def test_constant_offset(self):
         s = GrayImage(np.full((2, 2), 10, dtype=np.uint8))
         t = GrayImage(np.full((2, 2), 13, dtype=np.uint8))
-        result, _ = match_full_sad(s, t)
+        result, _ = match_dense("sad", s, t)
         assert (result.row, result.col, result.score) == (0, 0, 12)
 
     def test_score_map_values(self):
-        _, smap = match_full_sad(S3, T2)
-        assert smap.scores.tolist() == [[16, 12], [4, 0]]
+        _, scores = match_dense("sad", S3, T2)
+        assert scores.tolist() == [[16, 12], [4, 0]]
 
 
 class TestMatchFullNcc:
     def test_self_correlation(self, rng):
         s = random_gray(rng, 24, 24)
         t = crop(s, Rect(5, 9, 8, 8))
-        result, _ = match_full_ncc(s, t)
+        result, _ = match_dense("ncc", s, t)
         assert (result.row, result.col) == (5, 9)
         assert result.score == pytest.approx(1.0, abs=1e-9)
 
@@ -439,14 +459,14 @@ class TestMatchFullNcc:
         # the argmax goes elsewhere since NCC maximizes
         s = random_gray(rng, 24, 24)
         t = GrayImage(255 - crop(s, Rect(5, 9, 8, 8)).pixels)
-        _, smap = match_full_ncc(s, t)
-        assert smap.scores[5, 9] == pytest.approx(-1.0, abs=1e-9)
-        assert smap.scores.min() == pytest.approx(-1.0, abs=1e-9)
+        _, scores = match_dense("ncc", s, t)
+        assert scores[5, 9] == pytest.approx(-1.0, abs=1e-9)
+        assert scores.min() == pytest.approx(-1.0, abs=1e-9)
 
     def test_constant_template_rejected(self):
         s = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
         with pytest.raises(DegenerateTemplateError):
-            match_full_ncc(s, GrayImage(np.full((2, 2), 7, dtype=np.uint8)))
+            match_dense("ncc", s, GrayImage(np.full((2, 2), 7, dtype=np.uint8)))
 
     @pytest.mark.parametrize("algo", ["ncc", "nccp"])
     def test_constant_reference_has_no_candidate(self, algo, rng):
@@ -462,16 +482,17 @@ class TestMatchFullNcc:
         t = crop(s, Rect(3, 3, 3, 3))
         if int(t.pixels.min()) == int(t.pixels.max()):
             pytest.skip("degenerate draw")
-        result, smap = match_full_ncc(s, t)
-        assert not smap.valid[0, 0]  # constant-zero window
-        assert np.isnan(smap.scores[0, 0])
+        result, scores = match_dense("ncc", s, t)
+        assert np.isnan(scores[0, 0])  # constant-zero window
+        # NaN is the only "no NCC" marker, and it marks the oracle's invalid cells
+        assert np.array_equal(np.isnan(scores), ~naive_ncc_map(s, t).valid)
         assert (result.row, result.col) == (3, 3)
 
     def test_scores_within_bounds(self, rng):
         s = random_gray(rng, 20, 20)
         t = random_gray(rng, 6, 6)
-        smap = score_map_only(s, t, "ncc")
-        vals = smap.scores[smap.valid]
+        scores = match_dense("ncc", s, t)[1]
+        vals = scores[~np.isnan(scores)]
         assert (vals >= -1 - 1e-9).all() and (vals <= 1 + 1e-9).all()
 
 
@@ -557,39 +578,39 @@ class TestMatchPyramid:
     def test_matches_full_search(self, rng):
         s = random_gray(rng, 64, 64)
         t = crop(s, Rect(24, 24, 16, 16))
-        full, _ = match_full_sad(s, t)
-        pyr = match_pyramid(s, t, base="sad")
+        full, _ = match_dense("sad", s, t)
+        pyr = run_algorithm("sadp", s, t)
         assert (pyr.row, pyr.col, pyr.score) == (full.row, full.col, full.score) == (24, 24, 0)
 
     def test_single_level_equals_base(self, rng, monkeypatch):
         s = random_gray(rng, 32, 32)
         t = random_gray(rng, 7, 9)
         _set_depth(monkeypatch, 1)
-        full, _ = match_full_sad(s, t)
-        pyr = match_pyramid(s, t, base="sad")
+        full, _ = match_dense("sad", s, t)
+        pyr = run_algorithm("sadp", s, t)
         assert (pyr.row, pyr.col, pyr.score) == (full.row, full.col, full.score)
-        full_ncc, _ = match_full_ncc(s, t)
-        pyr_ncc = match_pyramid(s, t, base="ncc")
+        full_ncc, _ = match_dense("ncc", s, t)
+        pyr_ncc = run_algorithm("nccp", s, t)
         assert (pyr_ncc.row, pyr_ncc.col) == (full_ncc.row, full_ncc.col)
         _assert_exact_ncc(pyr_ncc.score, s, t, pyr_ncc.row, pyr_ncc.col)
 
     def test_corner_crop(self, rng):
         s = random_gray(rng, 64, 64)
         t = crop(s, Rect(0, 0, 16, 16))
-        pyr = match_pyramid(s, t, base="sad")
+        pyr = run_algorithm("sadp", s, t)
         assert (pyr.row, pyr.col, pyr.score) == (0, 0, 0)
 
     def test_ncc_pyramid_crop(self, rng):
         # odd offsets misalign coarse levels; needs spatially correlated texture
         s = textured_gray(rng, 64, 64)
         t = crop(s, Rect(11, 37, 16, 16))
-        pyr = match_pyramid(s, t, base="ncc")
+        pyr = run_algorithm("nccp", s, t)
         assert (pyr.row, pyr.col) == (11, 37)
         assert pyr.score == pytest.approx(1.0, abs=1e-9)
 
     def test_unknown_base(self):
         with pytest.raises(ValueError):
-            match_pyramid(S3, T2, base="ssd")
+            matchers.match_pyramid(S3, T2, base="ssd")
 
     @pytest.mark.parametrize("base", ["sad", "ncc"])
     def test_refines_past_last_offset(self, base, rng, monkeypatch):
@@ -602,10 +623,10 @@ class TestMatchPyramid:
         assert coarse[1] == 12
         _set_depth(monkeypatch, 2)
         monkeypatch.setattr(matchers, "_RADIUS", 0)
-        pyr = match_pyramid(s, t, base=base)
+        pyr = run_algorithm(f"{base}p", s, t)
         assert (pyr.row, pyr.col) == (2 * coarse[0], 23)
         if base == "sad":
-            assert pyr.score == match_full_sad(s, t)[1].scores[pyr.row, pyr.col]
+            assert pyr.score == match_dense("sad", s, t)[1][pyr.row, pyr.col]
         else:
             _assert_exact_ncc(pyr.score, s, t, pyr.row, pyr.col)
 
@@ -621,7 +642,7 @@ class TestMatchPyramid:
             top, left = (int(rng.integers(0, 192 - x + 1)) for x in (m, n))
             noisy = crop(s, Rect(top, left, m, n)).pixels + rng.normal(0, sigma, (m, n))
             t = GrayImage(np.clip(np.floor(noisy + 0.5), 0, 255).astype(np.uint8))
-        pyr = match_pyramid(s, t, base="ncc")
+        pyr = run_algorithm("nccp", s, t)
         assert (pyr.row, pyr.col) == (top, left) == (16, 50)
         _assert_exact_ncc(pyr.score, s, t, pyr.row, pyr.col)
 
@@ -750,7 +771,7 @@ class TestIntegerCoarseSearch:
         cases += [(periodic, t, 2, "sad"), (periodic, t, 3, "sad")]
         for s, t, depth, base in cases:
             _set_depth(monkeypatch, depth)
-            r = match_pyramid(s, t, base)
+            r = run_algorithm(f"{base}p", s, t)
             assert type(r.score) is (int if base == "sad" else float)
             row, col, score = _mean_pyramid_search(s, t, base, depth)
             assert (r.row, r.col) == (row, col)
@@ -780,11 +801,11 @@ class TestIntegerCoarseSearch:
         s = GrayImage(arr)
         t = crop(s, Rect(30, 40, 64, 64))
         seen = self._coarse_levels(monkeypatch)
-        result = match_pyramid(s, t, base="ncc")
+        result = run_algorithm("nccp", s, t)
         assert seen == [level]
         assert (result.row, result.col) == (30, 40)
         assert result.score == pytest.approx(1.0, abs=1e-9)
-        full, _ = match_full_ncc(s, t)
+        full, _ = match_dense("ncc", s, t)
         assert (full.row, full.col) == (30, 40)
 
 
@@ -806,8 +827,8 @@ class TestMomentRangeGuard:
         monkeypatch.setattr(matchers, "_INT64_MAX", worst)
         for depth in (None, 2):
             _set_depth(monkeypatch, depth)
-            assert match_pyramid(s, t, base="ncc").score == pytest.approx(1.0)
-        assert match_full_ncc(s, t)[0].score == pytest.approx(1.0)
+            assert run_algorithm("nccp", s, t).score == pytest.approx(1.0)
+        assert match_dense("ncc", s, t)[0].score == pytest.approx(1.0)
         monkeypatch.setattr(matchers, "_INT64_MAX", worst - 1)
 
         def unreachable(*args):
@@ -817,11 +838,11 @@ class TestMomentRangeGuard:
         for depth in (None, 1, 2):
             _set_depth(monkeypatch, depth)
             with pytest.raises(ScoreOverflowError):
-                match_pyramid(s, t, base="ncc")
+                run_algorithm("nccp", s, t)
         with pytest.raises(ScoreOverflowError):
-            match_full_ncc(s, t)
+            match_dense("ncc", s, t)
         # SAD needs no guard
-        assert match_pyramid(s, t, base="sad").score == 0
+        assert run_algorithm("sadp", s, t).score == 0
 
 
 class TestScoreMapOnly:
@@ -837,6 +858,12 @@ class TestScoreMapOnly:
     def test_no_map_for_pyramid(self):
         with pytest.raises(ValueError):
             score_map_only(S3, T2, "sadp")
+
+    @pytest.mark.parametrize("algo", DENSE_NAMES)
+    def test_nan_is_the_only_marker(self, algo, rng):
+        s = random_gray(rng, 12, 14)
+        smap = score_map_only(s, crop(s, Rect(2, 3, 4, 5)), algo)
+        assert smap.valid is None
 
 
 # Per algorithm, the oracle map whose first best offset it must find.
@@ -903,11 +930,11 @@ class TestTiesAcrossAlgorithms:
 def test_determinism(rng):
     s = random_gray(rng, 48, 48)
     t = crop(s, Rect(10, 20, 12, 12))
-    for run in (match_full_ncc, match_full_sad):
-        a, amap = run(s, t)
-        b, bmap = run(s, t)
+    for algo in ("ncc", "sad"):
+        a, amap = match_dense(algo, s, t)
+        b, bmap = match_dense(algo, s, t)
         assert (a.row, a.col, a.score) == (b.row, b.col, b.score)
-        assert np.array_equal(amap.scores, bmap.scores, equal_nan=True)
+        assert np.array_equal(amap, bmap, equal_nan=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -923,10 +950,7 @@ def test_cropped_templates_always_found_exactly(arr, data):
     top = data.draw(st.integers(0, s.height - h))
     left = data.draw(st.integers(0, s.width - w))
     t = crop(s, Rect(top, left, h, w))
-    for metric in VectorMetric:
-        result, smap = match_projected(s, t, metric)
-        assert smap.scores[top, left] == 0
+    for algo in ("vec-ssd", "vec-sad", "vec-euclid", "sad"):
+        result, scores = match_dense(algo, s, t)
+        assert scores[top, left] == 0
         assert result.score == 0
-    result, smap = match_full_sad(s, t)
-    assert smap.scores[top, left] == 0
-    assert result.score == 0

@@ -8,9 +8,7 @@ from vecmatch import (
     TemplateSizeError,
     VectorMetric,
     crop,
-    match_full_ncc,
-    match_full_sad,
-    match_projected,
+    match_dense,
 )
 from vecmatch.oracle import naive_ncc_map, naive_projected_map, naive_sad_map
 from conftest import random_gray
@@ -60,16 +58,16 @@ def test_equivalence_sweep(seed):
     rng = np.random.default_rng(seed)
     s = random_gray(rng, 32, 32)
     t = random_gray(rng, 5, 7)
-    for metric in (VectorMetric.SSD, VectorMetric.SAD):
-        fast = match_projected(s, t, metric)[1].scores
+    for algo, metric in (("vec-ssd", VectorMetric.SSD), ("vec-sad", VectorMetric.SAD)):
+        fast = match_dense(algo, s, t)[1]
         assert np.array_equal(fast, naive_projected_map(s, t, metric).scores)
-    euc_fast = match_projected(s, t, VectorMetric.EUCLIDEAN)[1].scores
+    euc_fast = match_dense("vec-euclid", s, t)[1]
     euc_naive = naive_projected_map(s, t, VectorMetric.EUCLIDEAN).scores
     np.testing.assert_allclose(euc_fast, euc_naive, rtol=1e-9)
-    assert np.array_equal(match_full_sad(s, t)[1].scores, naive_sad_map(s, t).scores)
-    ncc_fast = match_full_ncc(s, t)[1]
+    assert np.array_equal(match_dense("sad", s, t)[1], naive_sad_map(s, t).scores)
+    ncc_fast = match_dense("ncc", s, t)[1]
     ncc_naive = naive_ncc_map(s, t)
-    assert np.array_equal(ncc_fast.valid, ncc_naive.valid)
+    assert np.array_equal(np.isnan(ncc_fast), ~ncc_naive.valid)
     np.testing.assert_allclose(
-        ncc_fast.scores[ncc_fast.valid], ncc_naive.scores[ncc_naive.valid], rtol=1e-9
+        ncc_fast[ncc_naive.valid], ncc_naive.scores[ncc_naive.valid], rtol=1e-9
     )

@@ -222,11 +222,9 @@ def test_vector_distances_lower_bound_2d(pair):
 @settings(max_examples=30, deadline=None)
 @given(small_pairs)
 def test_euclid_argmin_matches_ssd_argmin(pair):
-    from vecmatch import match_projected
+    from vecmatch import match_dense
 
     s, t = GrayImage(pair[0]), GrayImage(pair[1])
-    _, ssd_map = match_projected(s, t, VectorMetric.SSD)
-    _, euc_map = match_projected(s, t, VectorMetric.EUCLIDEAN)
-    ssd = ssd_map.scores
-    euc = euc_map.scores
+    _, ssd = match_dense("vec-ssd", s, t)
+    _, euc = match_dense("vec-euclid", s, t)
     assert np.array_equal(ssd == ssd.min(), euc == euc.min())
