@@ -31,9 +31,11 @@ one numpy add per template cell and row tile, over int16 differences while
 the inputs fit them.
 
 Every NCC, full ncc's map and nccp's coarse map and refinement, comes from
-int64 window moments through _ncc_ratio; full ncc and refinement score
-gathered windows directly, nccp's coarse map takes its moments from
-window_sums. One rule, _flat, says which templates and windows have no NCC.
+exact integer window moments, cast to int64, through _ncc_ratio. Full ncc
+and refinement score gathered windows directly in _ncc_scorer, by one
+matrix product per gather, float64 while that is exact and int64 beyond;
+nccp's coarse map takes its moments from window_sums. One rule, _flat, says which
+templates and windows have no NCC.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ _FLOAT_EXACT_MAX = 2**53
 # Offsets per matrix product in _window_dots.
 _DOT_BLOCK = 64
 # Accumulator cells per row tile of _sad_map (_SAD_TILE // q offset rows),
-# and most cells per gather of _gathered.
+# and most cells per gather of _gathered (at least one window).
 _SAD_TILE = 1 << 16
 _SEED_COUNT = 64
 _SURVIVOR_SHARE = 1 / 8
@@ -330,12 +332,18 @@ def _sad_map(s_arr: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
 def _gathered(a: np.ndarray, t: np.ndarray, score: Callable) -> Callable:
     """Exact scorer of template t over image a: flat offsets -> score(windows,
     t) of the windows at those offsets, (count, m, n), gathered at most
-    _SAD_TILE cells at a time."""
+    _SAD_TILE cells (at least one window) at a time into one output."""
     windows = sliding_window_view(a, t.shape)
+    def scored(f: np.ndarray) -> np.ndarray:
+        return score(windows[np.unravel_index(f, windows.shape[:2])], t)
     def exact(flat: np.ndarray) -> np.ndarray:
-        parts = np.array_split(flat, flat.size * t.size // _SAD_TILE + 1)
-        return np.concatenate([score(windows[np.unravel_index(f, windows.shape[:2])], t)
-                               for f in parts])
+        step = max(1, _SAD_TILE // t.size)
+        first = scored(flat[:step])
+        out = np.empty(flat.size, dtype=first.dtype)
+        out[:step] = first
+        for i in range(step, flat.size, step):
+            out[i : i + step] = scored(flat[i : i + step])
+        return out
     return exact
 
 
@@ -349,17 +357,23 @@ def _ssd_scores(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.square(d, out=d).sum(axis=(1, 2))
 
 
-def _ncc_scorer(t_arr: np.ndarray) -> Callable:
-    """Scorer for _gathered of the NCC of each window with t_arr, from the
-    windows' int64 moments and t_arr's, taken once (_ncc_template); the
-    template _gathered passes is t_arr and goes unused."""
+def _ncc_scorer(t_arr: np.ndarray, peak: int) -> Callable:
+    """Scorer for _gathered of the NCC of each window with t_arr, both in
+    0..peak, through _ncc_ratio; t_arr's moments are taken once
+    (_ncc_template), and the template _gathered passes goes unused.
+
+    The windows, as rows of x, give WT and S1 from one product with [t, 1]
+    and S2 from one row-wise einsum. No moment exceeds peak**2 * A (A
+    cells), so while that is within _FLOAT_EXACT_MAX, x is float64 and the
+    moments exact integers, cast to int64; beyond it, x is int64."""
     tm = _ncc_template(t_arr)
+    dtype = np.float64 if peak**2 * t_arr.size <= _FLOAT_EXACT_MAX else np.int64
+    t1 = np.ones((2, t_arr.size), dtype=dtype)
+    t1[0] = t_arr.ravel()
     def score(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        w = w.astype(np.int64)
-        wt = np.einsum("kij,ij->k", w, tm[0])
-        s1 = w.sum(axis=(1, 2))
-        np.multiply(w, w, out=w)
-        return _ncc_ratio(s1, w.sum(axis=(1, 2)), wt, tm)
+        x = w.reshape(len(w), -1).astype(dtype)
+        wt, s1 = (t1 @ x.T).astype(np.int64)
+        return _ncc_ratio(s1, np.einsum("ij,ij->i", x, x).astype(np.int64), wt, tm)
     return score
 
 
@@ -416,15 +430,15 @@ def _flat(energy, area: int):
     return energy <= 0.4 * area
 
 
-def _template_moments(t_arr: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """t_arr as int64, its sum St, and A*T2 - St**2 (A cells, T2 the sum of
+def _template_moments(t_arr: np.ndarray) -> tuple[int, int, int]:
+    """t_arr's cell count A, its sum St, and A*T2 - St**2 (T2 the sum of
     squares): its centered energy times A, exact."""
     t64 = t_arr.astype(np.int64)
     st = int(t64.sum())
-    return t64, st, t_arr.size * int(np.einsum("ij,ij->", t64, t64)) - st * st
+    return t_arr.size, st, t_arr.size * int(np.einsum("ij,ij->", t64, t64)) - st * st
 
 
-def _ncc_template(t_arr: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _ncc_template(t_arr: np.ndarray) -> tuple[int, int, int]:
     """_template_moments of an NCC template; DegenerateTemplateError if flat."""
     tm = _template_moments(t_arr)
     if _flat(tm[2], t_arr.size):
@@ -439,13 +453,13 @@ def _ncc_ratio(s1: np.ndarray, s2: np.ndarray, wt: np.ndarray, tm: tuple) -> np.
     ncc = (A*WT - S1*St) / sqrt((A*S2 - S1**2) * (A*T2 - St**2)), all int64
     up to the final ratio; the caller's _moment_bound keeps every product in
     range. A _flat window's score is NaN. s1, s2 and wt are overwritten."""
-    t64, st, energy = tm
-    wt *= t64.size
+    area, st, energy = tm
+    wt *= area
     wt -= s1 * st
-    s2 *= t64.size
+    s2 *= area
     s2 -= np.square(s1, out=s1)
     scores = np.multiply(s2, float(energy), dtype=np.float64)
-    scores[_flat(s2, t64.size)] = np.nan
+    scores[_flat(s2, area)] = np.nan
     np.sqrt(scores, out=scores)
     return np.divide(wt, scores, out=scores)
 
@@ -473,10 +487,11 @@ def _ncc_moment_map(s_arr: np.ndarray, t_arr: np.ndarray, k: int) -> np.ndarray:
 
 def match_full_ncc(s: GrayImage, t: GrayImage):
     """Conventional full-search normalized cross correlation (maximized): the
-    windows at every offset, gathered and scored directly by _ncc_scorer.
-    (row, col, score, map), the map NaN where a window is _flat."""
+    windows at every offset, gathered, and each one's moments summed from
+    its copy by _ncc_scorer, O(m*n) per offset. (row, col, score, map), the
+    map NaN where a window is _flat."""
     _moment_bound(0, t.pixels.size)
-    exact = _gathered(s.pixels, t.pixels, _ncc_scorer(t.pixels))
+    exact = _gathered(s.pixels, t.pixels, _ncc_scorer(t.pixels, 255))
     rows, cols = s.height - t.height + 1, s.width - t.width + 1
     scores = exact(np.arange(rows * cols)).reshape(rows, cols)
     row, col = _argmax_valid(scores)
@@ -557,7 +572,7 @@ def match_pyramid(s: GrayImage, t: GrayImage, base: str = "sad"):
         # the doubled position can pass the last offset by one; keep that offset
         r0, c0 = min(r1, max(0, cr - _RADIUS)), min(c1, max(0, cc - _RADIUS))
         cols = c1 - c0 + 1
-        score = _sad_scores if base == "sad" else _ncc_scorer(tk)
+        score = _sad_scores if base == "sad" else _ncc_scorer(tk, 255 * 4**k)
         exact = _gathered(sk[r0 : r1 + m, c0 : c1 + n], tk, score)
         scores = exact(np.arange((r1 - r0 + 1) * cols))
         f = int(pick(scores))

@@ -387,7 +387,7 @@ class TestSadFirstMin:
     pytest.param(algo, side, per_pixel, id=f"{algo}-{per_pixel}")
     for algo, side, per_pixel in [("vec-ssd", 21, 16), ("vec-sad", 21, 16),
                                   ("vec-euclid", 21, 24), ("nccp", 200, 16),
-                                  ("nccp", 12, 48)]
+                                  ("nccp", 12, 48), ("ncc", 100, 16)]
 ])
 def test_projected_peak_memory(algo, side, per_pixel, rng):
     # bytes one request holds at once, per reference pixel, for a centered
@@ -399,7 +399,10 @@ def test_projected_peak_memory(algo, side, per_pixel, rng):
     # cells); gathering all 25 level-0 windows at once took ~52. At 12 x 12
     # nccp searches level 0 with _ncc_moment_map, ~37 (its int64 maps, each
     # 8 bytes per pixel); keeping the int64 copy of the reference beside its
-    # squares and dividing through masked copies took ~67.
+    # squares and dividing through masked copies took ~67. Full ncc at
+    # 100 x 100 reads ~13.1 (its float64 map, offset indices and one gather
+    # of at most _SAD_TILE cells); a list of per-gather maps joined at the
+    # end took ~40.6.
     s = textured_gray(rng, 512, 512)
     t = crop(s, Rect((512 - side) // 2, (512 - side) // 2, side, side))
     assert peak_bytes(algo, s, t) <= per_pixel * s.height * s.width
@@ -446,7 +449,64 @@ class TestMatchFullSad:
         assert scores.tolist() == [[16, 12], [4, 0]]
 
 
+def _moment_dtypes(monkeypatch):
+    """Record the dtype of every window matrix whose row-wise sums of
+    squares _ncc_scorer takes, np.einsum("ij,ij->i", x, x): float64 on the
+    exact side of _FLOAT_EXACT_MAX, int64 beyond it."""
+    seen = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "ij,ij->i":
+            seen.append(operands[0].dtype)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return seen
+
+
+def _flat_windows_case(rng):
+    """A 14 x 12 reference whose 6 x 7 constant patch holds flat 4 x 5
+    windows, and a varied 4 x 5 template: 88 offsets."""
+    arr = rng.integers(0, 256, (14, 12), dtype=np.uint8)
+    arr[2:8, 3:10] = 77
+    t = rng.integers(0, 256, (4, 5), dtype=np.uint8)
+    t[0, :2] = 0, 255  # varied whatever the draw
+    return GrayImage(arr), GrayImage(t)
+
+
+def _assert_oracle_ncc(scores, s, t):
+    expected = naive_ncc_map(s, t)
+    assert np.array_equal(np.isnan(scores), ~expected.valid)
+    assert expected.valid.any() and not expected.valid.all()
+    np.testing.assert_allclose(scores, expected.scores, rtol=1e-9, atol=1e-12, equal_nan=True)
+
+
 class TestMatchFullNcc:
+    # the float64 side of _ncc_scorer's dtype rule: window moments from one
+    # float64 product, exact below _FLOAT_EXACT_MAX; TestMatchFullNccInt64
+    # runs every case on the int64 side
+    @pytest.fixture(autouse=True)
+    def side(self):
+        return "float64"
+
+    # one window per gather, and three per gather with a partial last one
+    @pytest.mark.parametrize("tile", [1, 3 * 20 + 1])
+    def test_gathers_match_oracle(self, tile, rng, monkeypatch, side):
+        s, t = _flat_windows_case(rng)
+        monkeypatch.setattr(matchers, "_SAD_TILE", tile)
+        seen = _moment_dtypes(monkeypatch)
+        _assert_oracle_ncc(match_dense("ncc", s, t)[1], s, t)
+        assert set(seen) == {np.dtype(side)}
+
+    def test_nccp_exact(self, rng):
+        s = _with_flat_patch(textured_gray(rng, 96, 80))
+        for top, left in ((50, 36), (4, 4)):
+            t = crop(s, Rect(top, left, 40, 32))
+            result = run_algorithm("nccp", s, t)
+            assert (result.row, result.col) == (top, left)
+            _assert_exact_ncc(result.score, s, t, result.row, result.col)
+
     def test_self_correlation(self, rng):
         s = random_gray(rng, 24, 24)
         t = crop(s, Rect(5, 9, 8, 8))
@@ -494,6 +554,32 @@ class TestMatchFullNcc:
         scores = match_dense("ncc", s, t)[1]
         vals = scores[~np.isnan(scores)]
         assert (vals >= -1 - 1e-9).all() and (vals <= 1 + 1e-9).all()
+
+
+class TestMatchFullNccInt64(TestMatchFullNcc):
+    @pytest.fixture(autouse=True)
+    def side(self, monkeypatch):
+        monkeypatch.setattr(matchers, "_FLOAT_EXACT_MAX", 0)
+        return "int64"
+
+
+def test_ncc_sides_bit_identical(rng, monkeypatch):
+    s, t = _flat_windows_case(rng)
+    scores = match_dense("ncc", s, t)[1]
+    monkeypatch.setattr(matchers, "_FLOAT_EXACT_MAX", 0)
+    assert np.array_equal(scores, match_dense("ncc", s, t)[1], equal_nan=True)
+
+
+# float64 moments exactly while peak**2 * A <= _FLOAT_EXACT_MAX: at the
+# bound and one below it, with A = 20 pixels of peak 255
+@pytest.mark.parametrize("limit, side", [(255**2 * 20, "float64"),
+                                         (255**2 * 20 - 1, "int64")])
+def test_ncc_exactness_boundary(limit, side, rng, monkeypatch):
+    s, t = _flat_windows_case(rng)
+    monkeypatch.setattr(matchers, "_FLOAT_EXACT_MAX", limit)
+    seen = _moment_dtypes(monkeypatch)
+    _assert_oracle_ncc(match_dense("ncc", s, t)[1], s, t)
+    assert set(seen) == {np.dtype(side)}
 
 
 def _pyramid(img, levels):
